@@ -2,9 +2,11 @@
 
 A lane is a `bytes` block of the array's lane width; it stands in for one
 bit of the construction, with every bit position inside the lane evolving
-under the same XOR equations.  Rows tau*(p-1) .. tau*p-1 are *virtual*:
-reads of information columns there return the zero lane, which keeps all
-subscript arithmetic uniform modulo tau*p.
+under the same XOR equations.  So a lane may also concatenate the same cell
+of many stripes, and one encode or decode then covers all of them.  Rows
+tau*(p-1) .. tau*p-1 are *virtual*: reads of information columns there
+return the zero lane, which keeps all subscript arithmetic uniform modulo
+tau*p.
 """
 
 from __future__ import annotations

@@ -8,19 +8,27 @@ plus the common bit S[i mod t] for the first n_c rows.  The common bit
 S[mu] is the XOR of the cells b[tau*(p-1)+mu-j, j] for j = 1..k-1; the
 term is real exactly when mu < j.
 
-Common bits are computed once per encode and reused across the n_c rows,
-and virtual diagonal terms are skipped rather than XOR-ed as zero lanes,
-so an injected XOR counter sees exactly
-2*(k-1)*tau*(p-1) - t + n_c lane XORs per encode.
+The rules run once per parameter set, on symbolic cells, and are compiled
+into an XOR program (see `program`); `encode` converts each information
+cell to an int once, runs that program and converts only the parity cells
+back to bytes.  A lane may concatenate the cells of many stripes.  Common
+bits are computed once per encode and reused across the n_c rows, and
+virtual diagonal terms are skipped rather than XOR-ed as zero lanes, so an
+injected XOR counter sees exactly 2*(k-1)*tau*(p-1) - t + n_c lane XORs per
+encode.  `encode` can also fill one parity column alone, as a decode that
+lost only that parity column does.
 """
 
 from __future__ import annotations
 
-from .codearray import CodeArray, Lane, xor_lanes, zero_lane
+import functools
+
+from .codearray import CodeArray, Lane, xor_lanes
 from .errors import ParityColumnNotUpdatable
 from .params import CodeParams
+from .program import CACHE_SIZE, ZERO, Builder, Program
 
-CommonBits = list  # list[Lane] of length t
+CommonBits = list  # list of t value ids
 
 
 def common_bit_participants(params: CodeParams, mu: int) -> list[tuple[int, int]]:
@@ -32,16 +40,16 @@ def common_bit_participants(params: CodeParams, mu: int) -> list[tuple[int, int]
     ]
 
 
-def compute_common_bits(array: CodeArray, counter=None) -> CommonBits:
+def compute_common_bits(b: Builder) -> CommonBits:
     """XOR up the t common bits from the information columns."""
-    p = array.params
+    p = b.params
     out = []
     for mu in range(p.t):
-        acc: Lane | None = None
+        acc = None
         for i, j in common_bit_participants(p, mu):
-            cell = array.get(i, j)
-            acc = cell if acc is None else xor_lanes(acc, cell, counter)
-        out.append(acc if acc is not None else zero_lane(array.lane_width))
+            cell = b.get(i, j)
+            acc = cell if acc is None else b.xor(acc, cell)
+        out.append(ZERO if acc is None else acc)
     return out
 
 
@@ -55,23 +63,53 @@ def _diag_terms(params: CodeParams, i: int) -> list[tuple[int, int]]:
     return terms
 
 
-def encode(array: CodeArray, counter=None) -> CodeArray:
-    """Fill both parity columns from the information columns, in place."""
+def parity_columns(b: Builder, columns) -> dict[int, list[int]]:
+    """Symbolic parity cells of the given parity columns (k, k+1 or both)
+    from the information cells of `b`."""
+    p = b.params
+    out = {}
+    if p.k in columns:
+        row = []
+        for i in range(p.rows):
+            acc = b.get(i, 0)
+            for j in range(1, p.k):
+                acc = b.xor(acc, b.get(i, j))
+            row.append(acc)
+        out[p.k] = row
+    if p.k + 1 in columns:
+        s = compute_common_bits(b)
+        diag = []
+        for i in range(p.rows):
+            terms = _diag_terms(p, i)
+            acc = b.get(*terms[0])  # j=0 term is always real
+            for rc in terms[1:]:
+                acc = b.xor(acc, b.get(*rc))
+            if i < p.n_c:
+                acc = b.xor(acc, s[i % p.t])
+            diag.append(acc)
+        out[p.k + 1] = diag
+    return out
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def encoding_program(params: CodeParams, columns: tuple[int, ...]) -> Program:
+    """The compiled encoder of the parity `columns` (k, k+1 or both, in
+    order): outputs one column after the other, row by row."""
+    b = Builder(params, {params.k, params.k + 1})
+    b.phase = "encode"
+    cols = parity_columns(b, columns)
+    return b.finish([v for c in columns for v in cols[c]], f"encode {columns} of {params}")
+
+
+def encode(array: CodeArray, counter=None, *, columns=None) -> CodeArray:
+    """Fill both parity columns, or the parity `columns` given, from the
+    information columns, in place."""
     p = array.params
-    s = compute_common_bits(array, counter)
-    for i in range(p.rows):
-        acc = array.get(i, 0)
-        for j in range(1, p.k):
-            acc = xor_lanes(acc, array.get(i, j), counter)
-        array.set(i, p.k, acc)
-    for i in range(p.rows):
-        terms = _diag_terms(p, i)
-        acc = array.get(*terms[0])  # j=0 term is always real
-        for rc in terms[1:]:
-            acc = xor_lanes(acc, array.get(*rc), counter)
-        if i < p.n_c:
-            acc = xor_lanes(acc, s[i % p.t], counter)
-        array.set(i, p.k + 1, acc)
+    columns = (p.k, p.k + 1) if columns is None else tuple(sorted(columns))
+    program = encoding_program(p, columns)
+    program.run_into(array, columns)
+    if counter is not None:
+        counter.tick(program.xor_count)
     return array
 
 

@@ -19,14 +19,28 @@ diagonal syndromes, the row syndromes between them, and optionally the
 common-bit sum) isolates a single unknown.  Solved cells are tracked by an
 explicit known mask; if the engine exhausts every rule with cells still
 unknown it raises ChainStall rather than returning garbage.
+
+The rules run on symbolic cells (see `program`): `decoding_program` runs
+them once per (params, erased columns) and keeps the compiled XOR program
+for the erased information columns, with the XOR count of each phase, in a
+bounded cache.  `decode` converts each cell the program reads to an int
+once, runs the program as a flat loop over lanes of any width (the cells of
+many stripes concatenated) and converts only the recovered cells back to
+bytes; then `encode` re-encodes just the erased parity columns.  A
+two-information program runs in two stages, `build_syndromes` and the
+chain of `decode_two_info`; both are called through their module-level
+names, so a traced run can time the two stages apart.  The rank check of the chain chaser happens at
+compile time, and so does the common-bit consistency check wherever its
+two sides combine the same cells (see `Builder.check`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
-from .codearray import CodeArray, ErasurePattern, Lane, xor_lanes, zero_lane
+from .codearray import CodeArray, ErasurePattern
 from .codec import common_bit_participants, encode
 from .errors import (
     ChainStall,
@@ -35,87 +49,86 @@ from .errors import (
     RowParityMissing,
 )
 from .params import CodeParams
+from .program import CACHE_SIZE, ZERO, Builder, Program
 
 
 @dataclass
 class SyndromePair:
     """Reduced two-column syndromes: row_syn[i] is the XOR of the two
     erased cells of row i; diag_syn[i] additionally carries the reduced
-    common bit on rows below the common-row threshold."""
+    common bit on rows below the common-row threshold.  Entries are value
+    ids of a Builder."""
 
     f: int
     g: int
-    row_syn: list[Lane]
-    diag_syn: list[Lane]
-    sum_s: Lane  # XOR of the reduced common bits
+    row_syn: list[int]
+    diag_syn: list[int]
+    sum_s: int  # XOR of the reduced common bits
 
 
-def sum_common_bits(array: CodeArray, counter=None, pattern: ErasurePattern | None = None) -> Lane:
+def sum_common_bits(b: Builder) -> int:
     """XOR of all 2*tau*(p-1) parity lanes, which telescopes to the XOR of
     the t common bits (each appears an odd number of times overall)."""
-    p = array.params
-    if pattern is not None and (p.k in pattern.erased or p.k + 1 in pattern.erased):
+    p = b.params
+    if p.k in b.erased or p.k + 1 in b.erased:
         raise ParityMissing("both parity columns are required to sum the common bits")
-    acc = array.get(0, p.k)
+    acc = b.get(0, p.k)
     for i in range(1, p.rows):
-        acc = xor_lanes(acc, array.get(i, p.k), counter)
+        acc = b.xor(acc, b.get(i, p.k))
     for i in range(p.rows):
-        acc = xor_lanes(acc, array.get(i, p.k + 1), counter)
+        acc = b.xor(acc, b.get(i, p.k + 1))
     return acc
 
 
-def _reduced_common_surviving(
-    array: CodeArray, mu: int, skip: tuple[int, int], counter=None
-) -> Lane | None:
+def _reduced_common_surviving(b: Builder, mu: int, skip: tuple[int, int]) -> int | None:
     """XOR of the surviving participants of common bit mu (columns outside
     `skip`), or None when no participant survives."""
     acc = None
-    for r, j in common_bit_participants(array.params, mu):
+    for r, j in common_bit_participants(b.params, mu):
         if j in skip:
             continue
-        cell = array.get(r, j)
-        acc = cell if acc is None else xor_lanes(acc, cell, counter)
+        cell = b.get(r, j)
+        acc = cell if acc is None else b.xor(acc, cell)
     return acc
 
 
-def build_syndromes(
-    array: CodeArray, f: int, g: int, counter=None, sum_counter=None
-) -> SyndromePair:
+def pair_syndromes(b: Builder, f: int, g: int) -> SyndromePair:
     """Subtract all surviving contributions from both parity columns.
 
-    `counter` sees the reduction XORs; `sum_counter` sees the parity-sum
-    XORs (the two are reported separately by the metrics module).
+    The reduction XORs count in phase "reduce", the parity-sum XORs in
+    phase "sum_common" (the metrics module reports the two separately).
     """
-    p = array.params
+    p = b.params
     skip = (f, g)
-    row_syn: list[Lane] = []
+    b.phase = "reduce"
+    row_syn: list[int] = []
     for i in range(p.rows):
-        acc = array.get(i, p.k)
+        acc = b.get(i, p.k)
         for j in range(p.k):
             if j not in skip:
-                acc = xor_lanes(acc, array.get(i, j), counter)
+                acc = b.xor(acc, b.get(i, j))
         row_syn.append(acc)
 
-    reduced_s = [
-        _reduced_common_surviving(array, mu, skip, counter) for mu in range(p.t)
-    ]
-    diag_syn: list[Lane] = []
+    reduced_s = [_reduced_common_surviving(b, mu, skip) for mu in range(p.t)]
+    diag_syn: list[int] = []
     for i in range(p.rows):
-        acc = array.get(i, p.k + 1)
+        acc = b.get(i, p.k + 1)
         for j in range(p.k):
             if j in skip:
                 continue
             r = (i - j) % p.ring
             if r < p.rows:
-                acc = xor_lanes(acc, array.get(r, j), counter)
+                acc = b.xor(acc, b.get(r, j))
         if i < p.n_c and reduced_s[i % p.t] is not None:
-            acc = xor_lanes(acc, reduced_s[i % p.t], counter)
+            acc = b.xor(acc, reduced_s[i % p.t])
         diag_syn.append(acc)
 
-    sum_s = sum_common_bits(array, sum_counter)
-    for lane in reduced_s:
-        if lane is not None:
-            sum_s = xor_lanes(sum_s, lane, counter)
+    b.phase = "sum_common"
+    sum_s = sum_common_bits(b)
+    b.phase = "reduce"
+    for value in reduced_s:
+        if value is not None:
+            sum_s = b.xor(sum_s, value)
     return SyndromePair(f, g, row_syn, diag_syn, sum_s)
 
 
@@ -129,26 +142,24 @@ class _PairEngine:
     parameters and the erased pair.
     """
 
-    def __init__(self, array: CodeArray, syn: SyndromePair, chase_counter=None):
-        p = array.params
+    def __init__(self, b: Builder, syn: SyndromePair):
+        p = b.params
         self.p = p
+        self.b = b
         self.syn = syn
         self.f = syn.f
         self.g = syn.g
         self.d = syn.g - syn.f
-        self.width = array.lane_width
-        self.counter = chase_counter
-        zero = zero_lane(array.lane_width)
         # val[side][pos]: side 0 = column f, side 1 = column g.
         self.val = [[None] * p.ring for _ in range(2)]
         self.known = [[False] * p.ring for _ in range(2)]
         for side in range(2):
             for pos in range(p.rows, p.ring):
-                self.val[side][pos] = zero
+                self.val[side][pos] = ZERO
                 self.known[side][pos] = True
         # Reduced common bits: definition S'[mu] = F[rows+mu-f] ^ G[rows+mu-g]
         # restricted to real positions.  No real part => structurally zero.
-        self.s_val: list[Lane | None] = [None] * p.t
+        self.s_val: list[int | None] = [None] * p.t
         self.s_known = [False] * p.t
         self.s_parts: list[list[tuple[int, int]]] = []
         self.s_struct_zero = [False] * p.t
@@ -160,18 +171,18 @@ class _PairEngine:
                     parts.append((side, pos))
             self.s_parts.append(parts)
             if not parts:
-                self.s_val[mu] = zero
+                self.s_val[mu] = ZERO
                 self.s_known[mu] = True
                 self.s_struct_zero[mu] = True
         self._did_stride_seeds = False
 
     # -- helpers -----------------------------------------------------------
 
-    def _xor(self, acc: Lane | None, lane: Lane) -> Lane:
-        return lane if acc is None else xor_lanes(acc, lane, self.counter)
+    def _xor(self, acc: int | None, value: int) -> int:
+        return value if acc is None else self.b.xor(acc, value)
 
-    def _set_cell(self, side: int, pos: int, lane: Lane) -> None:
-        self.val[side][pos] = lane
+    def _set_cell(self, side: int, pos: int, value: int) -> None:
+        self.val[side][pos] = value
         self.known[side][pos] = True
 
     def _diag_positions(self, i: int) -> tuple[int, int]:
@@ -200,7 +211,7 @@ class _PairEngine:
                 (ms, mq) = next((s, q) for s, q in parts if not self.known[s][q])
                 acc = self.s_val[mu]
                 for s, q in known_parts:
-                    acc = xor_lanes(acc, self.val[s][q], self.counter)
+                    acc = self.b.xor(acc, self.val[s][q])
                 self._set_cell(ms, mq, acc)
                 progress = True
         return progress
@@ -240,11 +251,11 @@ class _PairEngine:
         mu = self._s_index(i)
         acc = self.syn.diag_syn[i]
         if self.known[0][fpos] and fpos < p.rows:
-            acc = xor_lanes(acc, self.val[0][fpos], self.counter)
+            acc = self.b.xor(acc, self.val[0][fpos])
         if self.known[1][gpos] and gpos < p.rows:
-            acc = xor_lanes(acc, self.val[1][gpos], self.counter)
+            acc = self.b.xor(acc, self.val[1][gpos])
         if mu is not None and self.s_known[mu] and not self.s_struct_zero[mu]:
-            acc = xor_lanes(acc, self.s_val[mu], self.counter)
+            acc = self.b.xor(acc, self.s_val[mu])
         kind, where = target
         if kind == "F":
             self._set_cell(0, where, acc)
@@ -266,8 +277,8 @@ class _PairEngine:
             if kf != kg:
                 side = 1 if kf else 0
                 other = 0 if kf else 1
-                lane = xor_lanes(self.syn.row_syn[i], self.val[other][i], self.counter)
-                self._set_cell(side, i, lane)
+                value = self.b.xor(self.syn.row_syn[i], self.val[other][i])
+                self._set_cell(side, i, value)
                 return True
         best = None
         for i in range(p.rows):
@@ -294,7 +305,7 @@ class _PairEngine:
         acc = self.syn.sum_s
         for other in range(self.p.t):
             if other != mu and not self.s_struct_zero[other]:
-                acc = xor_lanes(acc, self.s_val[other], self.counter)
+                acc = self.b.xor(acc, self.s_val[other])
         self.s_val[mu] = acc
         self.s_known[mu] = True
         return True
@@ -391,7 +402,7 @@ class _PairEngine:
 
     # -- driver --------------------------------------------------------------
 
-    def run(self) -> tuple[list[Lane], list[Lane]]:
+    def run(self) -> tuple[list[int], list[int]]:
         p = self.p
         while True:
             if self._rule_links():
@@ -415,66 +426,54 @@ class _PairEngine:
                 f"{p}; {len(missing)} cells unresolved (rank-deficient pair "
                 "or decoder bug)"
             )
-        # Recovered common bits must match their definitions.
+        # Recovered common bits must match their definitions.  The XORs
+        # are not counted, and the Builder settles the comparison at
+        # compile time when both sides combine the same cells.
+        self.b.phase = None
         for mu in range(p.t):
             if not self.s_known[mu]:
                 continue
-            acc = zero_lane(self.width)
+            acc = ZERO
             for s, q in self.s_parts[mu]:
-                acc = xor_lanes(acc, self.val[s][q])
-            if acc != self.s_val[mu]:
-                raise ChainStall(
-                    f"common bit {mu} inconsistent after decode of "
-                    f"({self.f},{self.g}) of {p}"
-                )
+                acc = self.b.xor(acc, self.val[s][q])
+            self.b.check(acc, self.s_val[mu])
         return (
             [self.val[0][q] for q in range(p.rows)],
             [self.val[1][q] for q in range(p.rows)],
         )
 
 
-def decode_two_info(
-    array: CodeArray, f: int, g: int, tally=None
-) -> tuple[list[Lane], list[Lane]]:
-    """Recover two erased information columns f < g.
+def recover_pair(b: Builder, f: int, g: int) -> tuple[list[int], list[int]]:
+    """Recover two erased information columns f < g; return their cells.
 
-    The returned pair of columns is also written back into the array.
-    `tally`, when given, is a metrics.DecodeTally whose sub-counters see
-    the parity-sum, syndrome-reduction and chain-solving XORs separately.
+    Phases: "sum_common" (parity sum), "reduce" (syndrome reduction) and
+    "chase" (chain solving).  The syndromes are the program's stage 0 and
+    the chain its stage 1.
     """
-    if not (0 <= f < g < array.params.k):
+    if not (0 <= f < g < b.params.k):
         raise ValueError(f"need two information columns, got ({f},{g})")
-    reduce_counter = tally.reduce if tally is not None else None
-    sum_counter = tally.sum_common if tally is not None else None
-    chase_counter = tally.chase if tally is not None else None
-    syn = build_syndromes(array, f, g, reduce_counter, sum_counter)
-    col_f, col_g = _PairEngine(array, syn, chase_counter).run()
-    array.set_column(f, col_f)
-    array.set_column(g, col_g)
-    return col_f, col_g
+    syn = pair_syndromes(b, f, g)
+    b.end_stage()
+    b.phase = "chase"
+    return _PairEngine(b, syn).run()
 
 
-def decode_info_via_row_parity(
-    array: CodeArray, f: int, pattern: ErasurePattern | None = None, counter=None
-) -> list[Lane]:
+def decode_info_via_row_parity(b: Builder, f: int) -> list[int]:
     """Recover information column f from the row-parity column."""
-    p = array.params
-    if pattern is not None and p.k in pattern.erased:
+    p = b.params
+    if p.k in b.erased:
         raise RowParityMissing("row-parity column is erased")
     column = []
     for i in range(p.rows):
-        acc = array.get(i, p.k)
+        acc = b.get(i, p.k)
         for j in range(p.k):
             if j != f:
-                acc = xor_lanes(acc, array.get(i, j), counter)
+                acc = b.xor(acc, b.get(i, j))
         column.append(acc)
-    array.set_column(f, column)
     return column
 
 
-def decode_info_with_diag_parity(
-    array: CodeArray, f: int, pattern: ErasurePattern | None = None, counter=None
-) -> list[Lane]:
+def decode_info_with_diag_parity(b: Builder, f: int) -> list[int]:
     """Recover information column f from the diagonal-parity column
     (row parity unavailable).
 
@@ -484,32 +483,31 @@ def decode_info_with_diag_parity(
     participant (their direct diagonal term is virtual), after which all
     common bits are known and the remaining rows invert.
     """
-    p = array.params
-    if pattern is not None and p.k + 1 in pattern.erased:
+    p = b.params
+    if p.k + 1 in b.erased:
         raise DiagParityMissing("diagonal-parity column is erased")
 
-    width = array.lane_width
-    known: dict[int, Lane] = {}
+    known: dict[int, int] = {}
 
-    def survivors(i: int) -> Lane:
-        acc = array.get(i, p.k + 1)
+    def survivors(i: int) -> int:
+        acc = b.get(i, p.k + 1)
         for j in range(p.k):
             if j == f:
                 continue
             r = (i - j) % p.ring
             if r < p.rows:
-                acc = xor_lanes(acc, array.get(r, j), counter)
+                acc = b.xor(acc, b.get(r, j))
         return acc
 
     # Reduced common bits: surviving participants XORed up; the column-f
     # participant (real exactly when mu < f) is filled in below.
-    s_partials: list[Lane] = []
+    s_partials: list[int] = []
     s_f_part: list[int | None] = []
     for mu in range(p.t):
-        acc = zero_lane(width)
+        acc = ZERO
         for r, j in common_bit_participants(p, mu):
             if j != f:
-                acc = xor_lanes(acc, array.get(r, j), counter)
+                acc = b.xor(acc, b.get(r, j))
         s_partials.append(acc)
         s_f_part.append((p.rows + mu - f) % p.ring if mu < f else None)
 
@@ -520,16 +518,15 @@ def decode_info_with_diag_parity(
         assert cell_pos is not None
         # Diagonal term of column f at row i is virtual here (i - f lands
         # in the virtual band), so the only unknown is the participant.
-        lane = xor_lanes(survivors(i), s_partials[mu], counter)
-        known[cell_pos] = lane
+        known[cell_pos] = b.xor(survivors(i), s_partials[mu])
 
-    s_full: list[Lane] = []
+    s_full: list[int] = []
     for mu in range(p.t):
         pos = s_f_part[mu]
         if pos is None:
             s_full.append(s_partials[mu])
         else:
-            s_full.append(xor_lanes(s_partials[mu], known[pos], counter))
+            s_full.append(b.xor(s_partials[mu], known[pos]))
 
     seed_set = set(seed_rows)
     for i in range(p.rows):
@@ -540,52 +537,76 @@ def decode_info_with_diag_parity(
             continue
         acc = survivors(i)
         if i < p.n_c:
-            acc = xor_lanes(acc, s_full[i % p.t], counter)
+            acc = b.xor(acc, s_full[i % p.t])
         known[r] = acc
 
     if len(known) != p.rows:
         raise ChainStall(
             f"diagonal recovery of column {f} left {p.rows - len(known)} cells"
         )
-    column = [known[i] for i in range(p.rows)]
-    array.set_column(f, column)
-    return column
+    return [known[i] for i in range(p.rows)]
 
 
-def _reencode_parity(array: CodeArray, columns: set[int], counter=None) -> None:
-    scratch = array.copy()
-    encode(scratch, counter)
-    p = array.params
-    for c in columns:
-        array.set_column(c, scratch.column(c))
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def decoding_program(params: CodeParams, erased: frozenset) -> Program:
+    """Compile the recovery of the erased information columns, which must
+    be one or two: outputs one column after the other, row by row.
+
+    Raises ChainStall when the rules cannot recover the pattern, as on the
+    rank-deficient column pairs of non-MDS parameter sets.
+    """
+    b = Builder(params, erased)
+    b.phase = "chase"
+    info = sorted(c for c in erased if c < params.k)
+    if len(info) == 2:
+        columns = recover_pair(b, *info)
+    elif params.k in erased:
+        columns = [decode_info_with_diag_parity(b, info[0])]
+    else:
+        columns = [decode_info_via_row_parity(b, info[0])]
+    return b.finish(
+        [v for column in columns for v in column],
+        f"decode of columns {sorted(erased)} of {params}",
+    )
+
+
+def build_syndromes(program: Program, regs: list[int]) -> None:
+    """Reduce both parity columns to the syndromes of the erased pair:
+    stage 0 of a two-information program, on loaded registers."""
+    program.execute(regs, 0)
+
+
+def decode_two_info(program: Program, regs: list[int]) -> None:
+    """Recover two erased information columns on loaded registers: the
+    syndromes, then the chain (stage 1)."""
+    build_syndromes(program, regs)
+    program.execute(regs, 1)
 
 
 def decode(array: CodeArray, pattern: ErasurePattern, tally=None) -> CodeArray:
-    """Restore all erased columns in place and return the array.
+    """Restore the erased columns in place and return the array.
 
-    Cells of erased columns are treated as unknown (they are zeroed before
-    recovery); every other column must be intact.
+    Cells of erased columns are never read; every other column must be
+    intact.  Erased information columns are recovered first, then only the
+    erased parity columns are re-encoded.  `tally`, when given, is a
+    metrics.DecodeTally whose counters see the parity-sum,
+    syndrome-reduction and chain-solving (or re-encode) XORs of one lane.
     """
     p = array.params
     pattern.validate(p)
-    erased = set(pattern.erased)
-    zero = zero_lane(array.lane_width)
-    for c in erased:
-        for i in range(p.rows):
-            array.set(i, c, zero)
-
-    counter = tally.chase if tally is not None else None
-    info = sorted(c for c in erased if c < p.k)
-    parity = {c for c in erased if c >= p.k}
-
-    if len(info) == 2:
-        decode_two_info(array, info[0], info[1], tally)
-    elif len(info) == 1:
-        f = info[0]
-        if p.k in parity:
-            decode_info_with_diag_parity(array, f, pattern, counter)
+    info = sorted(c for c in pattern.erased if c < p.k)
+    if info:
+        program = decoding_program(p, pattern.erased)
+        regs = program.load(array)
+        if len(info) == 2:
+            decode_two_info(program, regs)
         else:
-            decode_info_via_row_parity(array, f, pattern, counter)
+            program.execute(regs)
+        program.store(regs, array, info)
+        if tally is not None:
+            for phase, n in program.xors:
+                getattr(tally, phase).tick(n)
+    parity = pattern.erased - set(info)
     if parity:
-        _reencode_parity(array, parity, counter)
+        encode(array, tally.chase if tally is not None else None, columns=parity)
     return array

@@ -36,6 +36,10 @@ class CommonRowsExceedArray(ParameterError):
     pass
 
 
+class LaneWidthOutOfRange(ParameterError):
+    """A shard lane width below 1 or above the header's u32 field."""
+
+
 class IndexOutOfRing(CodeError, IndexError):
     pass
 

@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import baseline
-from .codearray import CodeArray
+from .codearray import CodeArray, ErasurePattern
 from .codec import encode, parity_dependents
-from .decoder import decode_two_info
+from .decoder import decode
 from .errors import PNotPrime, PTooSmall
 from .params import CodeParams, Regime
 
@@ -142,15 +142,9 @@ def count_encode_xors(params: CodeParams, seed: int = 0) -> int:
 def count_decode_xors(params: CodeParams, f: int, g: int, seed: int = 0) -> DecodeTally:
     """Per-phase XOR tallies for decoding erased information columns f, g
     of a random encoded array (the schedule is data independent)."""
-    rng = random.Random(seed)
-    arr = CodeArray.random(params, 1, rng)
-    encode(arr)
-    zero = bytes(1)
-    for i in range(params.rows):
-        arr.set(i, f, zero)
-        arr.set(i, g, zero)
+    arr = encode(CodeArray.random(params, 1, random.Random(seed)))
     tally = DecodeTally()
-    decode_two_info(arr, f, g, tally)
+    decode(arr, ErasurePattern.of(f, g), tally)
     return tally
 
 

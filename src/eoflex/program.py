@@ -1,0 +1,184 @@
+"""Straight-line XOR programs, compiled once and run over whole arrays.
+
+Every encode and decode schedule depends only on the parameters and the
+erasure pattern, never on the data.  The rule code in `codec` and `decoder`
+therefore runs once, on symbolic cells: a `Builder` hands out value ids for
+the array cells it reads and records one instruction per XOR the rules ask
+for.  `Builder.finish` turns the recording into a `Program`, one register
+per value, and keeps the XOR count of each phase the rules ran in, so the
+counters of `metrics` read the same numbers as when the rules XORed lanes
+one by one.
+
+The Builder also tracks which input cells each value combines.  A
+consistency check between two values that combine the same cells holds for
+any input, so it is settled at compile time; only the others are compared
+when the program runs.
+
+Running a program converts each input cell to an int once, XORs ints in a
+flat loop and converts only the output cells back to bytes.  A lane may be
+any width, so one run can cover many stripes whose cells are concatenated
+lane by lane.  The code is cut into stages where the rules asked for it, so
+a caller can run (and time) each stage on its own.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from .errors import ChainStall
+
+ZERO = 0  # value id and register of the all-zero lane
+CACHE_SIZE = 256  # compiled programs kept per cache
+
+
+@dataclass(frozen=True)
+class Program:
+    """A compiled XOR schedule.
+
+    Register 0 holds zero.  `inputs` is a flat tuple of (register, row,
+    column) triples, each loading one array cell, and `code` a flat tuple
+    of (dst, a, b) triples, each meaning reg[dst] = reg[a] ^ reg[b];
+    stage s is code[stages[s-1]:stages[s]] (from 0 for s = 0).  Each pair
+    in `checks` must hold equal registers at the end, or the run raises
+    ChainStall.  `xors` pairs each counted phase with the XORs the rules
+    spent in it.
+    """
+
+    name: str
+    inputs: tuple[int, ...]
+    code: tuple[int, ...]
+    stages: tuple[int, ...]
+    checks: tuple[tuple[int, int], ...]
+    outputs: tuple[int, ...]
+    registers: int
+    xors: tuple[tuple[str, int], ...]
+
+    @property
+    def columns(self) -> frozenset[int]:
+        """Array columns the program reads."""
+        return frozenset(self.inputs[2::3])
+
+    @property
+    def xor_count(self) -> int:
+        return sum(n for _, n in self.xors)
+
+    def load(self, array) -> list[int]:
+        """Registers with the input cells of `array` loaded."""
+        cells = array.cells
+        regs = [0] * self.registers
+        it = iter(self.inputs)
+        for r, i, j in zip(it, it, it):
+            regs[r] = int.from_bytes(cells[i][j], "little")
+        return regs
+
+    def execute(self, regs: list[int], stage: int | None = None) -> None:
+        """Run one stage of the code on `regs`, or all of it."""
+        code = self.code
+        if stage is not None:
+            code = code[self.stages[stage - 1] if stage else 0 : self.stages[stage]]
+        it = iter(code)
+        for dst, a, b in zip(it, it, it):
+            regs[dst] = regs[a] ^ regs[b]
+
+    def results(self, regs: list[int], width: int) -> list[bytes]:
+        """Check the executed registers and return the output lanes."""
+        for a, b in self.checks:
+            if regs[a] != regs[b]:
+                raise ChainStall(f"{self.name}: recovered values fail a consistency check")
+        return [regs[r].to_bytes(width, "little") for r in self.outputs]
+
+    def store(self, regs: list[int], array, columns) -> None:
+        """Store the outputs into `columns` of `array`, one column after the
+        other, row by row."""
+        lanes = iter(self.results(regs, array.lane_width))
+        for c in columns:
+            for row in array.cells:
+                row[c] = next(lanes)
+
+    def run(self, array) -> list[bytes]:
+        """Evaluate the program on `array`; return the output lanes."""
+        regs = self.load(array)
+        self.execute(regs)
+        return self.results(regs, array.lane_width)
+
+    def run_into(self, array, columns) -> None:
+        """Run on `array` and store the outputs into `columns` of it."""
+        regs = self.load(array)
+        self.execute(regs)
+        self.store(regs, array, columns)
+
+
+class Builder:
+    """Records the XORs rule code performs on symbolic cells.
+
+    `get(i, j)` returns the value id of array cell (i, j), reading it as a
+    program input the first time; cells of `erased` columns must be `set`
+    by the rules before they are read.  `xor` counts one XOR against the
+    current `phase` (None counts nothing) and returns the id of the result;
+    XORs with the zero value cost no instruction.  `end_stage` cuts the
+    code recorded so far off as a stage.
+    """
+
+    def __init__(self, params, erased=frozenset()):
+        self.params = params
+        self.erased = frozenset(erased)
+        self.phase: str | None = None
+        self._cells: dict[tuple[int, int], int] = {}
+        self._inputs: dict[int, tuple[int, int]] = {}
+        self._code: list[tuple[int, int, int]] = []
+        self._stages: list[int] = []
+        self._checks: list[tuple[int, int]] = []
+        self._counts: dict[str, int] = {}
+        # _mask[v]: bit n set when input n (in order of first read) is one
+        # of the cells value v is the XOR of.
+        self._mask = [0]
+
+    def _new(self, mask: int) -> int:
+        self._mask.append(mask)
+        return len(self._mask) - 1
+
+    def get(self, i: int, j: int) -> int:
+        value = self._cells.get((i, j))
+        if value is None:
+            if j in self.erased:
+                raise ValueError(f"cell ({i},{j}) is erased and not yet recovered")
+            value = self._cells[(i, j)] = self._new(1 << len(self._inputs))
+            self._inputs[value] = (i, j)
+        return value
+
+    def set(self, i: int, j: int, value: int) -> None:
+        self._cells[(i, j)] = value
+
+    def xor(self, a: int, b: int) -> int:
+        if self.phase is not None:
+            self._counts[self.phase] = self._counts.get(self.phase, 0) + 1
+        if a == ZERO:
+            return b
+        if b == ZERO:
+            return a
+        value = self._new(self._mask[a] ^ self._mask[b])
+        self._code.append((value, a, b))
+        return value
+
+    def check(self, a: int, b: int) -> None:
+        """Require values a and b to be equal when the program runs.  Values
+        that combine the same input cells are equal on any input, and the
+        check is dropped."""
+        if self._mask[a] != self._mask[b]:
+            self._checks.append((a, b))
+
+    def end_stage(self) -> None:
+        self._stages.append(len(self._code))
+
+    def finish(self, outputs, name: str) -> Program:
+        """Compile the recording into a Program computing `outputs`."""
+        return Program(
+            name=name,
+            inputs=tuple(x for v, cell in self._inputs.items() for x in (v, *cell)),
+            code=tuple(x for triple in self._code for x in triple),
+            stages=tuple(3 * n for n in self._stages) + (3 * len(self._code),),
+            checks=tuple(self._checks),
+            outputs=tuple(outputs),
+            registers=len(self._mask),
+            xors=tuple(sorted(self._counts.items())),
+        )

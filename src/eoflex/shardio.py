@@ -17,28 +17,46 @@ A stripe is k*tau*(p-1)*lane_width bytes of source data laid out row-major
 over the information cells; the final stripe is zero padded and the true
 length recorded in the header.  Shards are self-describing: reconstruction
 needs nothing but the shard directory.
+
+Both directions stream the data in batches of BATCH_BYTES of source (at
+least one stripe), so memory use depends on the batch, not the file.  Each
+batch becomes one CodeArray whose every lane is that cell concatenated over
+the batch's stripes, and one call of the compiled encode or decode program
+covers the whole batch.  The input is read to its end, so it may be a
+pipe; the headers, which record its length, are written last.  A read
+loads the surviving information shards and, only when an information
+column is lost, the parity shards its decode program reads; `decode`
+restores every lost column of the batch, and the read keeps the
+information columns.  The output is written to a temporary file beside it
+and renamed into place after the last batch, so a failed read leaves an
+existing output untouched.
 """
 
 from __future__ import annotations
 
 import os
+import secrets
 import struct
 import zlib
+from contextlib import ExitStack
+from itertools import chain
 from dataclasses import dataclass
 from pathlib import Path
 
 from .codearray import CodeArray, ErasurePattern
 from .codec import encode
-from .decoder import decode
-from .errors import CrcFailure, HeaderMismatch, TooManyMissing
+from .decoder import decode, decoding_program
+from .errors import CrcFailure, HeaderMismatch, LaneWidthOutOfRange, TooManyMissing
 from .params import CodeParams, validate_params
 
 MAGIC = b"EOFLEX01"
 VERSION = 1
 _HEADER = struct.Struct("<8sHIIIHIQQ")
 HEADER_SIZE = _HEADER.size + 4  # + crc32
+MAX_LANE_WIDTH = 2**32 - 1  # the header stores it as a u32
 
 DEFAULT_SHARD_LANE_WIDTH = 4096
+BATCH_BYTES = 2**20  # source bytes per batch; at least one stripe
 
 
 @dataclass(frozen=True)
@@ -86,14 +104,63 @@ def shard_path(directory: str | os.PathLike, column: int) -> Path:
     return Path(directory) / f"shard_{column}.eof"
 
 
-def _stripe_to_array(params: CodeParams, lane_width: int, data: bytes) -> CodeArray:
-    arr = CodeArray(params, lane_width)
-    off = 0
-    for i in range(params.rows):
-        for j in range(params.k):
-            arr.set(i, j, data[off : off + lane_width])
-            off += lane_width
-    return arr
+def _stripes_per_batch(params: CodeParams, lane_width: int) -> int:
+    return max(1, BATCH_BYTES // (params.k * params.rows * lane_width))
+
+
+def _split(buf, lane_width: int) -> list[memoryview]:
+    """`buf` cut into lanes."""
+    view = memoryview(buf)
+    return [view[n : n + lane_width] for n in range(0, len(view), lane_width)]
+
+
+def _source_array(params: CodeParams, lane_width: int, stripes: int, data: bytes) -> CodeArray:
+    """Batch array from `stripes` stripes of source data; parity cells zero."""
+    k, rows = params.k, params.rows
+    lanes = _split(data, lane_width)  # stripe by stripe, row-major
+    zero = bytes(stripes * lane_width)
+    cells = [
+        [b"".join(lanes[i * k + j :: rows * k]) for j in range(k)] + [zero, zero]
+        for i in range(rows)
+    ]
+    return CodeArray(params, stripes * lane_width, cells)
+
+
+def _shard_array(params: CodeParams, lane_width: int, stripes: int, columns) -> CodeArray:
+    """Batch array from shard payload: `columns` maps a column to `stripes`
+    stripes of it in shard order.  Cells of other columns are zero."""
+    rows = params.rows
+    zero = bytes(stripes * lane_width)
+    cells = [[zero] * (params.k + 2) for _ in range(rows)]
+    for j, buf in columns.items():
+        lanes = _split(buf, lane_width)  # stripe by stripe, row by row
+        for i in range(rows):
+            cells[i][j] = b"".join(lanes[i::rows])
+    return CodeArray(params, stripes * lane_width, cells)
+
+
+def _interleave(buffers, lane_width: int) -> bytes:
+    """Lane 0 of every buffer in turn, then lane 1, and so on.  Turns the
+    information columns of a batch into source order, and the cells of one
+    batch array column into shard order."""
+    return b"".join(chain.from_iterable(zip(*(_split(b, lane_width) for b in buffers))))
+
+
+def _check_lane_width(lane_width: int) -> None:
+    if not 1 <= lane_width <= MAX_LANE_WIDTH:
+        raise LaneWidthOutOfRange(
+            f"lane width must be in [1, {MAX_LANE_WIDTH}], got {lane_width}"
+        )
+
+
+def _read_batch(src, size: int):
+    """Up to `size` bytes of `src`; fewer only at the end of the input."""
+    data = src.read(size)
+    if 0 < len(data) < size:
+        data = bytearray(data)
+        while len(data) < size and (more := src.read(size - len(data))):
+            data += more
+    return data
 
 
 def shard_file(
@@ -102,50 +169,51 @@ def shard_file(
     output_dir: str | os.PathLike,
     lane_width: int = DEFAULT_SHARD_LANE_WIDTH,
 ) -> list[Path]:
-    """Encode a file into k+2 shard files named shard_<col>.eof."""
-    data = Path(input_path).read_bytes()
-    stripe_bytes = params.k * params.rows * lane_width
-    stripe_count = (len(data) + stripe_bytes - 1) // stripe_bytes
-    header_base = dict(
-        version=VERSION,
-        tau=params.tau,
-        p=params.p,
-        k=params.k,
-        lane_width=lane_width,
-        stripe_count=stripe_count,
-        original_length=len(data),
-    )
+    """Encode a file into k+2 shard files named shard_<col>.eof, reading
+    and encoding it one batch of stripes at a time until its end.  The
+    input may be a pipe; the headers, which hold the length, are written
+    last.  Existing shard files are rewritten in place."""
+    _check_lane_width(lane_width)
+    k = params.k
+    stripe_bytes = k * params.rows * lane_width
+    batch_bytes = _stripes_per_batch(params, lane_width) * stripe_bytes
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    columns = [bytearray() for _ in range(params.k + 2)]
-    for s in range(stripe_count):
-        chunk = data[s * stripe_bytes : (s + 1) * stripe_bytes]
-        if len(chunk) < stripe_bytes:
-            chunk = chunk + bytes(stripe_bytes - len(chunk))
-        arr = _stripe_to_array(params, lane_width, chunk)
-        encode(arr)
-        for c in range(params.k + 2):
-            for i in range(params.rows):
-                columns[c] += arr.get(i, c)
-    paths = []
-    for c in range(params.k + 2):
-        header = ShardHeader(column_index=c, **header_base)
-        path = shard_path(outdir, c)
-        path.write_bytes(header.pack() + bytes(columns[c]))
-        paths.append(path)
+    paths = [shard_path(outdir, c) for c in range(k + 2)]
+    with open(input_path, "rb") as src, ExitStack() as stack:
+        outdir.mkdir(parents=True, exist_ok=True)
+        shards = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh in shards:
+            fh.seek(HEADER_SIZE)
+        length = 0
+        while data := _read_batch(src, batch_bytes):
+            length += len(data)
+            stripes = -(-len(data) // stripe_bytes)
+            data += bytes(stripes * stripe_bytes - len(data))  # the last stripe is padded
+            arr = _source_array(params, lane_width, stripes, data)
+            encode(arr)
+            for c, fh in enumerate(shards):
+                fh.write(_interleave(arr.column(c), lane_width))
+        stripe_count = -(-length // stripe_bytes)
+        for c, fh in enumerate(shards):
+            fh.seek(0)
+            fh.write(ShardHeader(VERSION, params.tau, params.p, k, c, lane_width,
+                                 stripe_count, length).pack())
     return paths
 
 
-def _load_shards(directory: str | os.PathLike):
-    """Read available shards; CRC-failing or malformed files count as
-    missing (an erasure of that column)."""
-    headers: dict[int, ShardHeader] = {}
-    payloads: dict[int, bytes] = {}
+def _open_shards(directory: str | os.PathLike, stack: ExitStack):
+    """Open the usable shards on `stack`: returns (reference header,
+    params, column -> file positioned at its payload).  A file whose header
+    fails its CRC, or whose payload length is not what the header implies,
+    counts as missing (an erasure of that column).  Headers that disagree,
+    a column index above k+1 and two shards of one column raise
+    HeaderMismatch."""
+    found: dict[int, tuple] = {}
     reference: ShardHeader | None = None
     for path in sorted(Path(directory).glob("shard_*.eof")):
-        raw = path.read_bytes()
+        fh = stack.enter_context(open(path, "rb"))
         try:
-            header = ShardHeader.unpack(raw)
+            header = ShardHeader.unpack(fh.read(HEADER_SIZE))
         except CrcFailure:
             continue
         key = (header.tau, header.p, header.k, header.lane_width,
@@ -156,47 +224,71 @@ def _load_shards(directory: str | os.PathLike):
                      reference.lane_width, reference.stripe_count,
                      reference.original_length, reference.version):
             raise HeaderMismatch(f"{path} disagrees with other shards")
-        headers[header.column_index] = header
-        payloads[header.column_index] = raw[HEADER_SIZE:]
+        column = header.column_index
+        if column > header.k + 1:
+            raise HeaderMismatch(f"{path} names column {column}, above k+1 = {header.k + 1}")
+        if column in found:
+            raise HeaderMismatch(f"{path} and {found[column][0].name} both hold column {column}")
+        found[column] = (fh, os.fstat(fh.fileno()).st_size - HEADER_SIZE)
     if reference is None:
         raise TooManyMissing("no readable shards found")
-    return reference, headers, payloads
+    params = validate_params(reference.tau, reference.p, reference.k)
+    payload = reference.payload_length(params)
+    shards = {c: fh for c, (fh, size) in found.items() if size == payload}
+    return reference, params, shards
 
 
 def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) -> int:
     """Rebuild the original file from the shards in `directory`.
 
     Missing or corrupt shards (up to two) are treated as column erasures.
-    Returns the number of bytes written.
+    The file is rebuilt one batch of stripes at a time into a temporary
+    file beside `output_path`, renamed into place after the last batch;
+    on failure the temporary file is removed.  Returns the number of bytes
+    written.
     """
-    ref, headers, payloads = _load_shards(directory)
-    params = validate_params(ref.tau, ref.p, ref.k)
-    total_cols = params.k + 2
-    missing = [c for c in range(total_cols) if c not in payloads]
+    with ExitStack() as stack:
+        ref, params, shards = _open_shards(directory, stack)
+        return _restore(ref, params, shards, Path(output_path))
+
+
+def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
+    """Stream the original file out of the open `shards` into `output`."""
+    k = params.k
+    missing = [c for c in range(k + 2) if c not in shards]
     if len(missing) > 2:
         raise TooManyMissing(f"{len(missing)} shards missing, can recover at most 2")
-    expected_payload = ref.stripe_count * params.rows * ref.lane_width
-    for c, payload in payloads.items():
-        if len(payload) != expected_payload:
-            raise HeaderMismatch(
-                f"shard {c} payload is {len(payload)} bytes, expected {expected_payload}"
-            )
+    pattern = ErasurePattern(frozenset(missing))
+    lost_info = [c for c in missing if c < k]
+    needed = set(range(k)) - pattern.erased
+    if lost_info:
+        needed |= decoding_program(params, pattern.erased).columns
 
     lane_width = ref.lane_width
-    out = bytearray()
-    col_stride = params.rows * lane_width
-    for s in range(ref.stripe_count):
-        arr = CodeArray(params, lane_width)
-        for c, payload in payloads.items():
-            base = s * col_stride
-            for i in range(params.rows):
-                off = base + i * lane_width
-                arr.set(i, c, payload[off : off + lane_width])
-        if missing:
-            decode(arr, ErasurePattern(frozenset(missing)))
-        for i in range(params.rows):
-            for j in range(params.k):
-                out += arr.get(i, j)
-    result = bytes(out[: ref.original_length])
-    Path(output_path).write_bytes(result)
-    return len(result)
+    column_bytes = params.rows * lane_width  # one column of one stripe
+    per_batch = _stripes_per_batch(params, lane_width)
+    temp = output.parent / f".{output.name}.{secrets.token_hex(4)}.tmp"
+    left = ref.original_length
+    out = open(temp, "xb")
+    try:
+        with out:
+            for first in range(0, ref.stripe_count, per_batch):
+                stripes = min(per_batch, ref.stripe_count - first)
+                columns = {}
+                for c in needed:
+                    columns[c] = shards[c].read(stripes * column_bytes)
+                    if len(columns[c]) != stripes * column_bytes:
+                        raise HeaderMismatch(f"{shards[c].name} ended early")
+                if missing:
+                    arr = _shard_array(params, lane_width, stripes, columns)
+                    decode(arr, pattern)
+                    for f in lost_info:
+                        columns[f] = _interleave(arr.column(f), lane_width)
+                data = _interleave([columns[j] for j in range(k)], lane_width)
+                out.write(data[:left])
+                left -= min(left, len(data))
+        os.replace(temp, output)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
+    return ref.original_length - left

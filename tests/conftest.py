@@ -3,6 +3,7 @@ import random
 import pytest
 
 from eoflex.params import validate_params
+from eoflex.program import Builder
 
 # Parameter sets the acceptance suite sweeps.
 ACCEPTANCE_SETS = [
@@ -31,3 +32,10 @@ def rng():
 
 def params_of(triple):
     return validate_params(*triple)
+
+
+def evaluate(array, rule, erased=()):
+    """Run symbolic rule code on a concrete array: compile the value ids
+    `rule(builder)` returns and give back their lanes."""
+    b = Builder(array.params, erased)
+    return b.finish(list(rule(b)), "test").run(array)

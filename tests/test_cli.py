@@ -90,3 +90,16 @@ class TestEncodeDecode:
         code, _, err = run(capsys, "decode", str(shards), str(tmp_path / "o.bin"))
         assert code == 2
         assert "missing" in err
+
+    @pytest.mark.parametrize("width", ["0", "-5", str(2**32)])
+    def test_lane_width_out_of_range(self, capsys, tmp_path, width):
+        src = tmp_path / "file.bin"
+        src.write_bytes(bytes(1000))
+        shards = tmp_path / "shards"
+        code, _, err = run(
+            capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+            "--lane-width", width, str(src), str(shards),
+        )
+        assert code == 2
+        assert err.startswith("error: lane width") and err.count("\n") == 1
+        assert not shards.exists()

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from conftest import ACCEPTANCE_SETS
+from conftest import ACCEPTANCE_SETS, evaluate
 from eoflex.codearray import CodeArray, xor_lanes, zero_lane
 from eoflex.codec import (
     common_bit_participants,
@@ -11,6 +11,7 @@ from eoflex.codec import (
     update_cell,
 )
 from eoflex.errors import ParityColumnNotUpdatable
+from eoflex.metrics import XorCounter
 from eoflex.params import validate_params
 
 PRM = validate_params(2, 5, 3)
@@ -37,13 +38,13 @@ def nonzero_parity(arr):
 
 class TestCommonBits:
     def test_zero_array(self):
-        assert compute_common_bits(CodeArray.zeros(PRM, 1)) == [ZERO, ZERO]
+        assert evaluate(CodeArray.zeros(PRM, 1), compute_common_bits) == [ZERO, ZERO]
 
     def test_row7_col1_feeds_s0(self):
-        assert compute_common_bits(unit_array(PRM, 7, 1)) == [ONE, ZERO]
+        assert evaluate(unit_array(PRM, 7, 1), compute_common_bits) == [ONE, ZERO]
 
     def test_row7_col2_feeds_s1(self):
-        assert compute_common_bits(unit_array(PRM, 7, 2)) == [ZERO, ONE]
+        assert evaluate(unit_array(PRM, 7, 2), compute_common_bits) == [ZERO, ONE]
 
     def test_participants_are_real_rows(self):
         for triple in ACCEPTANCE_SETS:
@@ -75,6 +76,28 @@ class TestEncode:
             arr = encode(CodeArray.random(prm, 2, rng))
             again = encode(arr.copy())
             assert again == arr
+
+    def test_one_parity_column(self, rng):
+        # Filling one parity column alone writes only that column, with the
+        # same cells and the share of the XORs a full encode spends on it.
+        for triple in [(2, 5, 3), (1, 11, 7), (3, 9, 3)]:
+            prm = validate_params(*triple)
+            want = encode(CodeArray.random(prm, 2, rng))
+            counts = []
+            for c in (prm.k, prm.k + 1):
+                arr = want.copy()
+                other = 2 * prm.k + 1 - c
+                arr.set_column(c, [bytes(2)] * prm.rows)
+                arr.set_column(other, [b"\xff\xff"] * prm.rows)
+                counter = XorCounter()
+                encode(arr, counter, columns={c})
+                assert arr.column(c) == want.column(c)
+                assert arr.column(other) == [b"\xff\xff"] * prm.rows
+                counts.append(counter.count)
+            full = XorCounter()
+            encode(want.copy(), full)
+            assert counts[0] == prm.rows * (prm.k - 1)
+            assert sum(counts) == full.count
 
     def test_linearity(self, rng):
         for triple in [(2, 5, 3), (1, 7, 5), (2, 7, 4)]:

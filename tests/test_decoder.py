@@ -3,24 +3,26 @@ import random
 
 import pytest
 
-from conftest import ACCEPTANCE_SETS, deficient_pairs
+from conftest import ACCEPTANCE_SETS, deficient_pairs, evaluate
 from eoflex.codearray import CodeArray, ErasurePattern, xor_lanes, zero_lane
 from eoflex.codec import compute_common_bits, encode
 from eoflex.decoder import (
-    build_syndromes,
     decode,
     decode_info_via_row_parity,
     decode_info_with_diag_parity,
-    decode_two_info,
+    pair_syndromes,
+    recover_pair,
     sum_common_bits,
 )
 from eoflex.errors import (
     ChainStall,
     DiagParityMissing,
+    ParityMissing,
     RowParityMissing,
     TooManyErasures,
 )
 from eoflex.params import validate_params
+from eoflex.program import Builder
 
 PRM = validate_params(2, 5, 3)
 
@@ -69,27 +71,26 @@ class TestDispatch:
 class TestRowParityPath:
     def test_zero_array(self):
         arr = encode(CodeArray.zeros(PRM, 1))
-        col = decode_info_via_row_parity(arr, 1)
+        col = evaluate(arr, lambda b: decode_info_via_row_parity(b, 1), (1,))
         assert col == [zero_lane(1)] * PRM.rows
 
     @pytest.mark.parametrize("triple,f", [((2, 5, 3), 1), ((1, 5, 3), 0)])
     def test_roundtrip(self, triple, f, rng):
         arr = encoded_random(triple, rng)
         expected = arr.column(f)
-        arr.set_column(f, [zero_lane(1)] * arr.params.rows)
-        assert decode_info_via_row_parity(arr, f) == expected
+        assert evaluate(arr, lambda b: decode_info_via_row_parity(b, f), (f,)) == expected
 
-    def test_guard(self, rng):
-        arr = encoded_random((2, 5, 3), rng)
+    def test_guard(self):
         with pytest.raises(RowParityMissing):
-            decode_info_via_row_parity(arr, 0, ErasurePattern.of(0, 3))
+            decode_info_via_row_parity(Builder(PRM, {0, 3}), 0)
 
 
 class TestDiagParityPath:
     @pytest.mark.parametrize("f", [0, 1, 2])
     def test_zero_array(self, f):
         arr = encode(CodeArray.zeros(PRM, 1))
-        assert decode_info_with_diag_parity(arr, f) == [zero_lane(1)] * PRM.rows
+        col = evaluate(arr, lambda b: decode_info_with_diag_parity(b, f), (f, 3))
+        assert col == [zero_lane(1)] * PRM.rows
 
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
     def test_roundtrip_every_f(self, triple):
@@ -99,41 +100,60 @@ class TestDiagParityPath:
         for f in range(prm.k):
             arr = encoded_random(triple, rng)
             expected = arr.column(f)
-            arr.set_column(f, [zero_lane(1)] * prm.rows)
-            assert decode_info_with_diag_parity(arr, f) == expected, (triple, f)
+            got = evaluate(arr, lambda b: decode_info_with_diag_parity(b, f), (f, prm.k))
+            assert got == expected, (triple, f)
 
-    def test_guard(self, rng):
-        arr = encoded_random((2, 5, 3), rng)
+    def test_guard(self):
         with pytest.raises(DiagParityMissing):
-            decode_info_with_diag_parity(arr, 0, ErasurePattern.of(0, 4))
+            decode_info_with_diag_parity(Builder(PRM, {0, 4}), 0)
+
+
+def total(b):
+    return [sum_common_bits(b)]
 
 
 class TestSumCommonBits:
     def test_zero(self):
-        assert sum_common_bits(encode(CodeArray.zeros(PRM, 1))) == b"\x00"
+        assert evaluate(encode(CodeArray.zeros(PRM, 1)), total) == [b"\x00"]
 
     def test_single_bit_example(self):
         arr = CodeArray.zeros(PRM, 1)
         arr.set(7, 1, b"\x01")
         encode(arr)
-        assert sum_common_bits(arr) == b"\x01"  # S0=1, S1=0
+        assert evaluate(arr, total) == [b"\x01"]  # S0=1, S1=0
 
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
     def test_equals_xor_of_common_bits(self, triple):
         rng = random.Random(triple[0])
         arr = encoded_random(triple, rng, width=2)
         acc = zero_lane(2)
-        for lane in compute_common_bits(arr):
+        for lane in evaluate(arr, compute_common_bits):
             acc = xor_lanes(acc, lane)
-        assert sum_common_bits(arr) == acc
+        assert evaluate(arr, total) == [acc]
+
+    def test_needs_both_parity_columns(self):
+        with pytest.raises(ParityMissing):
+            sum_common_bits(Builder(PRM, {0, 4}))
+
+
+def syndromes(arr, f, g):
+    """(row syndromes, diagonal syndromes, common-bit sum) as lanes."""
+    rows = arr.params.rows
+
+    def rule(b):
+        syn = pair_syndromes(b, f, g)
+        return syn.row_syn + syn.diag_syn + [syn.sum_s]
+
+    lanes = evaluate(arr, rule, (f, g))
+    return lanes[:rows], lanes[rows:-1], lanes[-1]
 
 
 class TestSyndromes:
     def test_zero_array(self):
         arr = encode(CodeArray.zeros(PRM, 1))
-        syn = build_syndromes(arr, 0, 2)
-        assert all(lane == b"\x00" for lane in syn.row_syn + syn.diag_syn)
-        assert syn.sum_s == b"\x00"
+        row_syn, diag_syn, sum_s = syndromes(arr, 0, 2)
+        assert all(lane == b"\x00" for lane in row_syn + diag_syn)
+        assert sum_s == b"\x00"
 
     def test_single_surviving_bit(self):
         # Raw array (zero parity) with only b[3,1] set: subtracting the
@@ -141,10 +161,10 @@ class TestSyndromes:
         # a diagonal trace at row 4.
         arr = CodeArray.zeros(PRM, 1)
         arr.set(3, 1, b"\x01")
-        syn = build_syndromes(arr, 0, 2)
-        assert [i for i, v in enumerate(syn.row_syn) if v != b"\x00"] == [3]
-        assert [i for i, v in enumerate(syn.diag_syn) if v != b"\x00"] == [4]
-        assert syn.sum_s == b"\x00"
+        row_syn, diag_syn, sum_s = syndromes(arr, 0, 2)
+        assert [i for i, v in enumerate(row_syn) if v != b"\x00"] == [3]
+        assert [i for i, v in enumerate(diag_syn) if v != b"\x00"] == [4]
+        assert sum_s == b"\x00"
 
     @pytest.mark.parametrize("triple", [(2, 5, 3), (2, 7, 4), (1, 11, 7)])
     def test_row_syndrome_soundness(self, triple):
@@ -152,10 +172,10 @@ class TestSyndromes:
         arr = encoded_random(triple, rng)
         prm = arr.params
         for f, g in itertools.combinations(range(prm.k), 2):
-            syn = build_syndromes(arr, f, g)
+            row_syn = syndromes(arr, f, g)[0]
             for i in range(prm.rows):
                 expected = xor_lanes(arr.get(i, f), arr.get(i, g))
-                assert syn.row_syn[i] == expected
+                assert row_syn[i] == expected
 
 
 class TestTwoInfo:
@@ -172,12 +192,8 @@ class TestTwoInfo:
     )
     def test_roundtrip(self, triple, f, g, rng):
         arr = encoded_random(triple, rng, width=3)
-        want_f, want_g = arr.column(f), arr.column(g)
-        zero = [zero_lane(3)] * arr.params.rows
-        arr.set_column(f, zero)
-        arr.set_column(g, zero)
-        got_f, got_g = decode_two_info(arr, f, g)
-        assert got_f == want_f and got_g == want_g
+        got = evaluate(arr, lambda b: sum(recover_pair(b, f, g), []), (f, g))
+        assert got == arr.column(f) + arr.column(g)
 
     def test_interleaved_chains_match_oracle(self):
         # stride == tau splits the ring into tau independent chains; the

@@ -1,0 +1,119 @@
+import itertools
+import random
+
+import pytest
+
+from conftest import ACCEPTANCE_SETS, deficient_pairs
+
+from eoflex.codearray import CodeArray, ErasurePattern
+from eoflex.codec import encode
+from eoflex.decoder import decode, decoding_program
+from eoflex.errors import ChainStall
+from eoflex.oracle import erasure_solver
+from eoflex.params import validate_params
+from eoflex.program import ZERO, Builder
+
+PRM = validate_params(2, 5, 3)
+
+
+def lanes_of(*values):
+    """A 1-byte-lane array whose cells (0, j) hold the given lanes."""
+    arr = CodeArray.zeros(PRM, 1)
+    for j, lane in enumerate(values):
+        arr.set(0, j, lane)
+    return arr
+
+
+class TestBuilder:
+    def test_counts_every_xor_but_emits_none_for_zero(self):
+        b = Builder(PRM)
+        b.phase = "reduce"
+        x = b.xor(ZERO, b.get(0, 0))
+        y = b.xor(x, b.get(0, 1))
+        program = b.finish([x, y], "t")
+        assert program.xors == (("reduce", 2),)
+        assert len(program.code) == 3  # one instruction
+
+    def test_one_register_per_value(self):
+        b = Builder(PRM)
+        acc = b.get(0, 0)
+        for j in (1, 2):
+            acc = b.xor(acc, b.get(0, j))
+        program = b.finish([acc], "t")
+        assert program.inputs == (1, 0, 0, 2, 0, 1, 4, 0, 2)
+        assert program.code == (3, 1, 2, 5, 3, 4)
+        assert program.columns == {0, 1, 2}
+        assert program.run(lanes_of(b"\x01", b"\x02", b"\x04")) == [b"\x07"]
+
+    def test_failing_check_raises(self):
+        b = Builder(PRM)
+        b.check(b.get(0, 0), b.get(0, 1))
+        program = b.finish([], "t")
+        assert program.run(lanes_of(b"\x05", b"\x05")) == []
+        with pytest.raises(ChainStall):
+            program.run(lanes_of(b"\x05", b"\x06"))
+
+    def test_check_of_equal_combinations_is_settled_at_compile_time(self):
+        b = Builder(PRM)
+        x, y, z = b.get(0, 0), b.get(0, 1), b.get(0, 2)
+        b.check(b.xor(b.xor(x, y), z), b.xor(x, b.xor(z, y)))
+        assert b.finish([], "t").checks == ()
+
+    @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
+    def test_pair_decode_common_bit_checks_are_settled(self, triple):
+        # The chain chaser's recovered common bits combine the same cells
+        # as their definitions, so no comparison is left for run time.
+        prm = validate_params(*triple)
+        for pair in itertools.combinations(range(prm.k), 2):
+            if pair not in deficient_pairs(triple):
+                assert decoding_program(prm, frozenset(pair)).checks == ()
+
+    def test_stages_split_the_code(self):
+        program = decoding_program(PRM, frozenset({0, 2}))
+        assert 0 < program.stages[0] < program.stages[1] == len(program.code)
+        assert len(program.stages) == 2
+        arr = encode(CodeArray.random(PRM, 4, random.Random(1)))
+        regs = program.load(arr)
+        program.execute(regs, 0)
+        program.execute(regs, 1)
+        assert program.results(regs, 4) == program.run(arr) == arr.column(0) + arr.column(2)
+
+    def test_erased_cell_must_be_recovered_first(self):
+        b = Builder(PRM, {1})
+        with pytest.raises(ValueError):
+            b.get(0, 1)
+        b.set(0, 1, b.get(0, 0))
+        assert b.get(0, 1) == b.get(0, 0)
+
+
+@pytest.mark.parametrize("triple", [(2, 5, 3), (1, 11, 7), (3, 9, 3), (1, 7, 5), (1, 5, 3)])
+def test_wide_decode_matches_per_stripe_and_oracle(triple):
+    """One run over lanes that concatenate several stripes recovers each
+    stripe exactly as decoding it alone with 1-byte lanes does, and both
+    agree with Gaussian elimination, for every one- and two-column loss."""
+    prm = validate_params(*triple)
+    rows, k = prm.rows, prm.k
+    rng = random.Random(sum(triple))
+    stripes = [encode(CodeArray.random(prm, 1, rng)) for _ in range(3)]
+    wide = CodeArray(prm, len(stripes), [
+        [b"".join(st.get(i, c) for st in stripes) for c in range(k + 2)]
+        for i in range(rows)
+    ])
+    patterns = [(c,) for c in range(k + 2)] + list(itertools.combinations(range(k + 2), 2))
+    for cols in patterns:
+        got = wide.copy()
+        for c in cols:  # erased cells are never read
+            got.set_column(c, [rng.randbytes(len(stripes)) for _ in range(rows)])
+        decode(got, ErasurePattern.of(*cols))
+        assert got == wide, (triple, cols)
+        solver = erasure_solver(prm, cols)
+        for s, stripe in enumerate(stripes):
+            alone = stripe.copy()
+            decode(alone, ErasurePattern.of(*cols))
+            assert alone.cells == [[lane[s : s + 1] for lane in row] for row in got.cells]
+            for plane in range(8):
+                packed = 0
+                for idx, pos in enumerate(solver.surviving):
+                    packed |= ((stripe.get(pos % rows, pos // rows)[0] >> plane) & 1) << idx
+                want = [(alone.get(i, j)[0] >> plane) & 1 for j in range(k) for i in range(rows)]
+                assert solver.solve_packed(packed) == want, (triple, cols, plane)

@@ -1,12 +1,17 @@
 import hashlib
 import itertools
+import os
 import random
+import threading
+import tracemalloc
 
 import pytest
 
-from eoflex.errors import CrcFailure, HeaderMismatch, TooManyMissing
+from eoflex import shardio
+from eoflex.errors import ChainStall, CrcFailure, HeaderMismatch, TooManyMissing
 from eoflex.params import validate_params
 from eoflex.shardio import (
+    BATCH_BYTES,
     HEADER_SIZE,
     ShardHeader,
     reconstruct,
@@ -15,10 +20,52 @@ from eoflex.shardio import (
 )
 
 PRM = validate_params(2, 5, 3)
+LANE = 4096
+STRIPE = PRM.k * PRM.rows * LANE
+PER_BATCH = BATCH_BYTES // STRIPE  # stripes per batch at LANE
+
+# SHA-256 of every shard of a seeded 2,500,000-byte file at 4 KiB lanes,
+# recorded before shard I/O was streamed in batches: the format must not move.
+GOLDEN = {
+    (2, 5, 3): [
+        "21151ba4214f61cac77715d232adfd5bf60b5d0d46fbd4356e0d378466af6767",
+        "d3efca31ef6b8ee6f4e6cb612ff702795f505a4334596bceeeb674fbb193af20",
+        "8e9ada8a9dc25a0d48c6ab3d147ec13e6dbd08e02142a010d8ae8e2187a4ae45",
+        "10b27f74ac079375335c6799a4f54a83e4e68488f300383a6a3b7f9d319575d4",
+        "70ba7f29835f00736fa1706af227df13b992df0854e5296d9b19a10dda08a8da",
+    ],
+    (1, 11, 7): [
+        "378a802aabd707a7b2d35a5384b03f51baa14a65fa81cff2d97ab8d5ab259c69",
+        "91371c5d5b97fbcc686bb67851e4f7d37a05799cb6461d3a4bbc4d11fd968342",
+        "dd8b1cca4dc27d7a12a70f82f0fdf6ef0786cff3d8ebc84bc7c71e0aaf6ec745",
+        "b753357f3397b63a999cefce3489ad6541a59b297b9a0bb3e63b05b445089900",
+        "70044e0a54d2dccca14194d9e0fbce237a25bc69e3bff41ee7d205d88c6cbf7a",
+        "7f2491eb5ab11ce9016f3fde2776a5557c26894af79fd37eec082d197dcd669f",
+        "839697b3babd75342ea238d924fc178dea58631608ce77901b80d372edb22b56",
+        "9edc65aaa31232770db40b68b771020ad7c32777f1242d4ef91129226e040660",
+        "2ffa7e00a5507fae322c70948efd8fdad1401d8b92cd22b8315f445bf31e46ed",
+    ],
+    (3, 9, 3): [
+        "f63ee8e35a2c780e598cea2987a6372be1a83583a99c97860bc7a54e0a7c2838",
+        "bcee21e42bbac9039c0e11cca8c9dd2ebd7ff919f117426173a33369860469a2",
+        "f1a1c0293be14ca79932ce0551f16a24760dca98792b9ab42eaa01bf03c5d824",
+        "7f791ab84b2a93d4853efd2d5fdaf42c8d9307e790a5b1b75891eb7a729cb9b1",
+        "dac001887cdaa13d194e3315b81684adb6f1063a6c920b2c68a6d646c761aa01",
+    ],
+}
 
 
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def encoded(tmp_path, rng, size, prm=PRM, lane_width=64):
+    """Shard `size` random bytes; return (source, shard dir)."""
+    src = tmp_path / "data.bin"
+    src.write_bytes(rng.randbytes(size))
+    shards = tmp_path / "shards"
+    shard_file(src, prm, shards, lane_width=lane_width)
+    return src, shards
 
 
 class TestHeader:
@@ -148,3 +195,175 @@ def test_wide_roundtrip_all_pairs(tmp_path):
         out = tmp_path / "out.bin"
         reconstruct(shards, out)
         assert sha(out) == want, (c1, c2)
+
+
+@pytest.mark.parametrize("triple", sorted(GOLDEN))
+def test_shards_match_golden_digests(tmp_path, triple):
+    prm = validate_params(*triple)
+    src = tmp_path / "src"
+    src.write_bytes(random.Random(f"golden:{triple}").randbytes(2_500_000))
+    shard_file(src, prm, tmp_path / "s", lane_width=LANE)
+    assert [sha(shard_path(tmp_path / "s", c)) for c in range(prm.k + 2)] == GOLDEN[triple]
+
+
+@pytest.mark.parametrize("stripes", [0, 1, PER_BATCH - 1, PER_BATCH, PER_BATCH + 1])
+def test_batch_edges_roundtrip_all_pairs(tmp_path, stripes):
+    rng = random.Random(stripes)
+    src, shards = encoded(tmp_path, rng, max(0, stripes * STRIPE - 100), lane_width=LANE)
+    blobs = {c: shard_path(shards, c).read_bytes() for c in range(5)}
+    for lost in itertools.combinations(range(5), 2):
+        for c in range(5):
+            if c in lost:
+                shard_path(shards, c).unlink(missing_ok=True)
+            else:
+                shard_path(shards, c).write_bytes(blobs[c])
+        out = tmp_path / "out.bin"
+        assert reconstruct(shards, out) == src.stat().st_size
+        assert sha(out) == sha(src), lost
+
+
+def peak_bytes(tmp_path, batches):
+    """tracemalloc peak of sharding a file of `batches` batches and reading
+    it back with two information columns lost."""
+    src = tmp_path / f"src{batches}"
+    rng = random.Random(batches)
+    with open(src, "wb") as fh:
+        for _ in range(batches):
+            fh.write(rng.randbytes(PER_BATCH * STRIPE))
+    shards = tmp_path / f"shards{batches}"
+    tracemalloc.start()
+    try:
+        shard_file(src, PRM, shards, lane_width=LANE)
+        for c in (0, 2):
+            shard_path(shards, c).unlink()
+        reconstruct(shards, tmp_path / f"out{batches}")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sha(tmp_path / f"out{batches}") == sha(src)
+    return peak
+
+
+def test_memory_does_not_grow_with_file_size(tmp_path):
+    small = peak_bytes(tmp_path, 4)
+    assert peak_bytes(tmp_path, 16) <= 1.25 * small
+
+
+class TestFailedRead:
+    """A failed decode leaves an existing output as it was and no
+    temporary file beside it."""
+
+    def check(self, tmp_path, shards, error):
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        out = outdir / "out.bin"
+        out.write_bytes(b"previous contents")
+        with pytest.raises(error):
+            reconstruct(shards, out)
+        assert out.read_bytes() == b"previous contents"
+        assert list(outdir.iterdir()) == [out]
+
+    def test_rank_deficient_pair(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 20_000, prm=validate_params(2, 7, 4))
+        shard_path(shards, 0).unlink()
+        shard_path(shards, 3).unlink()
+        self.check(tmp_path, shards, ChainStall)
+
+    def test_three_missing(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 20_000)
+        for c in (0, 1, 4):
+            shard_path(shards, c).unlink()
+        self.check(tmp_path, shards, TooManyMissing)
+
+    def test_failure_after_first_batch(self, tmp_path, rng, monkeypatch):
+        _, shards = encoded(tmp_path, rng, 3 * PER_BATCH * STRIPE, lane_width=LANE)
+        shard_path(shards, 1).unlink()
+        calls = []
+
+        def failing_decode(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise ChainStall("injected")
+            return real_decode(*args, **kwargs)
+
+        real_decode = shardio.decode
+        monkeypatch.setattr(shardio, "decode", failing_decode)
+        self.check(tmp_path, shards, ChainStall)
+        assert len(calls) == 2
+
+
+class TestMalformedShards:
+    def test_truncated_shard_is_an_erasure(self, tmp_path, rng):
+        src, shards = encoded(tmp_path, rng, 30_000)
+        blob = shard_path(shards, 1).read_bytes()
+        shard_path(shards, 1).write_bytes(blob[:-10])
+        out = tmp_path / "out.bin"
+        reconstruct(shards, out)
+        assert sha(out) == sha(src)
+
+    def test_three_truncated_shards(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 30_000)
+        for c in (0, 2, 3):
+            blob = shard_path(shards, c).read_bytes()
+            shard_path(shards, c).write_bytes(blob[:-10])
+        with pytest.raises(TooManyMissing):
+            reconstruct(shards, tmp_path / "out.bin")
+
+    def test_column_index_above_k_plus_1(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 30_000)
+        blob = shard_path(shards, 4).read_bytes()
+        header = ShardHeader.unpack(blob)
+        bad = ShardHeader(header.version, header.tau, header.p, header.k, 5,
+                          header.lane_width, header.stripe_count, header.original_length)
+        shard_path(shards, 4).write_bytes(bad.pack() + blob[HEADER_SIZE:])
+        with pytest.raises(HeaderMismatch, match="shard_4.eof"):
+            reconstruct(shards, tmp_path / "out.bin")
+
+    def test_duplicate_column_index(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 30_000)
+        shard_path(shards, 7).write_bytes(shard_path(shards, 2).read_bytes())
+        with pytest.raises(HeaderMismatch, match="column 2"):
+            reconstruct(shards, tmp_path / "out.bin")
+
+
+def shard_bytes(directory):
+    return [shard_path(directory, c).read_bytes() for c in range(PRM.k + 2)]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_pipe_input_gives_the_same_shards(tmp_path, rng):
+    data = rng.randbytes(PER_BATCH * STRIPE + 5000)
+    (tmp_path / "data.bin").write_bytes(data)
+    shard_file(tmp_path / "data.bin", PRM, tmp_path / "plain", lane_width=LANE)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    shard_file(fifo, PRM, tmp_path / "piped", lane_width=LANE)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert shard_bytes(tmp_path / "piped") == shard_bytes(tmp_path / "plain")
+
+
+def test_short_reads_give_the_same_shards(tmp_path, rng, monkeypatch):
+    src, plain = encoded(tmp_path, rng, 2 * PER_BATCH * STRIPE + 5000, lane_width=LANE)
+
+    class Trickle:
+        """The input, returning at most 1000 bytes per read."""
+
+        def __init__(self, path):
+            self.fh = open(path, "rb")
+
+        def read(self, n):
+            return self.fh.read(min(n, 1000))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(shardio, "open", lambda path, mode="r": Trickle(path)
+                        if path == src else open(path, mode), raising=False)
+    shard_file(src, PRM, tmp_path / "trickled", lane_width=LANE)
+    assert shard_bytes(tmp_path / "trickled") == shard_bytes(plain)
