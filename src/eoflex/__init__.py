@@ -8,14 +8,13 @@ XOR-level complexity instrumentation.
 from .codearray import CodeArray, ErasurePattern, mod_ring, xor_lanes
 from .codec import encode, update_cell
 from .decoder import decode
-from .params import CodeParams, Regime, common_row_threshold, validate_params
+from .params import CodeParams, Regime, validate_params
 
 __all__ = [
     "CodeArray",
     "CodeParams",
     "ErasurePattern",
     "Regime",
-    "common_row_threshold",
     "decode",
     "encode",
     "mod_ring",

@@ -96,7 +96,7 @@ def evenodd_update_formula(p: int, k: int) -> Fraction:
     return 3 - Fraction(p + k - 2, k * (p - 1))
 
 
-def tau1_equivalence_check(p: int, k: int, trials: int = 0) -> bool:
+def tau1_equivalence_check(p: int, k: int) -> bool:
     """Check that the tau = 1 instance is the single-common-bit code:
     one common bit, fed by the diagonal ending at the virtual row, added
     to exactly the first 2*floor(k/2) diagonal-parity rows.
@@ -104,7 +104,7 @@ def tau1_equivalence_check(p: int, k: int, trials: int = 0) -> bool:
     Works structurally on the generator matrix: the difference between
     each diagonal-parity row's dependency set and the bare diagonal must
     be empty above the threshold and equal to one fixed nonempty set below
-    it.  `trials` is accepted for interface symmetry; the check is exact.
+    it.  The check is exact.
     """
     params = validate_params(1, p, k)
     if params.t != 1 or params.n_c != 2 * (k // 2):

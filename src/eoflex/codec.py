@@ -11,12 +11,14 @@ term is real exactly when mu < j.
 The rules run once per parameter set, on symbolic cells, and are compiled
 into an XOR program (see `program`); `encode` converts each information
 cell to an int once, runs that program and converts only the parity cells
-back to bytes.  A lane may concatenate the cells of many stripes.  Common
-bits are computed once per encode and reused across the n_c rows, and
-virtual diagonal terms are skipped rather than XOR-ed as zero lanes, so an
-injected XOR counter sees exactly 2*(k-1)*tau*(p-1) - t + n_c lane XORs per
-encode.  `encode` can also fill one parity column alone, as a decode that
-lost only that parity column does.
+back to bytes.  Cells the caller already holds as ints (a decode that
+re-encodes a lost parity column holds all of them) are passed in `values`
+and not converted again.  A lane may concatenate the cells of many
+stripes.  Common bits are computed once per encode and reused across the
+n_c rows, and virtual diagonal terms are skipped rather than XOR-ed as zero
+lanes, so an injected XOR counter sees exactly 2*(k-1)*tau*(p-1) - t + n_c
+lane XORs per encode.  `encode` can also fill one parity column alone, as
+a decode that lost only that parity column does.
 """
 
 from __future__ import annotations
@@ -101,13 +103,15 @@ def encoding_program(params: CodeParams, columns: tuple[int, ...]) -> Program:
     return b.finish([v for c in columns for v in cols[c]], f"encode {columns} of {params}")
 
 
-def encode(array: CodeArray, counter=None, *, columns=None) -> CodeArray:
+def encode(array: CodeArray, counter=None, *, columns=None, values=None) -> CodeArray:
     """Fill both parity columns, or the parity `columns` given, from the
-    information columns, in place."""
+    information columns, in place.  `values` maps (row, column) to the
+    information cells the caller already holds as ints; those cells are
+    taken from it and their bytes in `array` are not read."""
     p = array.params
     columns = (p.k, p.k + 1) if columns is None else tuple(sorted(columns))
     program = encoding_program(p, columns)
-    program.run_into(array, columns)
+    program.run_into(array, columns, values)
     if counter is not None:
         counter.tick(program.xor_count)
     return array

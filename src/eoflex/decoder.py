@@ -26,10 +26,12 @@ for the erased information columns, with the XOR count of each phase, in a
 bounded cache.  `decode` converts each cell the program reads to an int
 once, runs the program as a flat loop over lanes of any width (the cells of
 many stripes concatenated) and converts only the recovered cells back to
-bytes; then `encode` re-encodes just the erased parity columns.  A
-two-information program runs in two stages, `build_syndromes` and the
-chain of `decode_two_info`; both are called through their module-level
-names, so a traced run can time the two stages apart.  The rank check of the chain chaser happens at
+bytes.  Then `encode` re-encodes just the erased parity columns; it is
+handed every cell the decode program loaded or recovered as an int, so a
+decode converts no cell from bytes twice.  A two-information program runs
+in two stages, `build_syndromes` and the chain of `decode_two_info`; they
+and the re-encode are called through their module-level names, so a traced
+run can time each apart.  The rank check of the chain chaser happens at
 compile time, and so does the common-bit consistency check wherever its
 two sides combine the same cells (see `Builder.check`).
 """
@@ -595,6 +597,8 @@ def decode(array: CodeArray, pattern: ErasurePattern, tally=None) -> CodeArray:
     p = array.params
     pattern.validate(p)
     info = sorted(c for c in pattern.erased if c < p.k)
+    parity = pattern.erased - set(info)
+    values = None
     if info:
         program = decoding_program(p, pattern.erased)
         regs = program.load(array)
@@ -603,10 +607,11 @@ def decode(array: CodeArray, pattern: ErasurePattern, tally=None) -> CodeArray:
         else:
             program.execute(regs)
         program.store(regs, array, info)
+        if parity:
+            values = program.cell_values(regs, info)
         if tally is not None:
             for phase, n in program.xors:
                 getattr(tally, phase).tick(n)
-    parity = pattern.erased - set(info)
     if parity:
-        encode(array, tally.chase if tally is not None else None, columns=parity)
+        encode(array, tally.chase if tally is not None else None, columns=parity, values=values)
     return array

@@ -99,3 +99,7 @@ class HeaderMismatch(ShardError):
 
 class CrcFailure(ShardError):
     pass
+
+
+class UnsupportedVersion(ShardError):
+    """A shard header whose format version this reader does not know."""

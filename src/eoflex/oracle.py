@@ -271,7 +271,6 @@ def threshold_sweep(max_rows: int = 24):
 
     Returns (clean, broken): parameter sets whose every column pair is
     recoverable, and a list of (params, deficient_pairs) for the rest.
-    The outcome is recorded in the package README.
     """
     from .errors import ParameterError
     from .params import validate_params

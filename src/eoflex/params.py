@@ -111,8 +111,3 @@ def validate_params(tau: int, p: int, k: int) -> CodeParams:
     return CodeParams(
         tau=tau, p=p, k=k, t=t, n_c=n_c, regime=regime, rows=rows, ring=tau * p
     )
-
-
-def common_row_threshold(params: CodeParams) -> int:
-    """Number of leading diagonal-parity rows that carry a common bit."""
-    return _threshold(params.k, params.t, params.regime)

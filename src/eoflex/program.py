@@ -15,10 +15,14 @@ any input, so it is settled at compile time; only the others are compared
 when the program runs.
 
 Running a program converts each input cell to an int once, XORs ints in a
-flat loop and converts only the output cells back to bytes.  A lane may be
-any width, so one run can cover many stripes whose cells are concatenated
-lane by lane.  The code is cut into stages where the rules asked for it, so
-a caller can run (and time) each stage on its own.
+flat loop and converts only the output cells back to bytes.  `load` takes
+the cells a caller already holds as ints and converts only the others, and
+`cell_values` hands a run's inputs and outputs on as ints, so a second
+program over the same array (the parity re-encode after a decode) converts
+no cell the first one did.  A lane may be any width, so one run can cover
+many stripes whose cells are concatenated lane by lane.  The code is cut
+into stages where the rules asked for it, so a caller can run (and time)
+each stage on its own.
 """
 
 from __future__ import annotations
@@ -62,14 +66,28 @@ class Program:
     def xor_count(self) -> int:
         return sum(n for _, n in self.xors)
 
-    def load(self, array) -> list[int]:
-        """Registers with the input cells of `array` loaded."""
+    def load(self, array, values=None) -> list[int]:
+        """Registers with the input cells loaded: from `values`, a mapping
+        of (row, column) to the cell as an int, where it holds the cell, and
+        converted from the bytes of `array` otherwise."""
         cells = array.cells
         regs = [0] * self.registers
         it = iter(self.inputs)
         for r, i, j in zip(it, it, it):
-            regs[r] = int.from_bytes(cells[i][j], "little")
+            value = values.get((i, j)) if values else None
+            regs[r] = int.from_bytes(cells[i][j], "little") if value is None else value
         return regs
+
+    def cell_values(self, regs: list[int], columns) -> dict[tuple[int, int], int]:
+        """The cells held in executed `regs` as ints, keyed by (row, column):
+        every input cell, and the outputs as `store` places them into
+        `columns`."""
+        it = iter(self.inputs)
+        values = {(i, j): regs[r] for r, i, j in zip(it, it, it)}
+        rows = len(self.outputs) // len(columns)
+        cells = [(i, c) for c in columns for i in range(rows)]
+        values.update(zip(cells, (regs[r] for r in self.outputs)))
+        return values
 
     def execute(self, regs: list[int], stage: int | None = None) -> None:
         """Run one stage of the code on `regs`, or all of it."""
@@ -101,9 +119,10 @@ class Program:
         self.execute(regs)
         return self.results(regs, array.lane_width)
 
-    def run_into(self, array, columns) -> None:
-        """Run on `array` and store the outputs into `columns` of it."""
-        regs = self.load(array)
+    def run_into(self, array, columns, values=None) -> None:
+        """Run on `array`, with the cells in `values` taken as given (see
+        `load`), and store the outputs into `columns` of it."""
+        regs = self.load(array, values)
         self.execute(regs)
         self.store(regs, array, columns)
 

@@ -16,17 +16,22 @@ Each shard holds one array column across all stripes, preceded by a fixed
 A stripe is k*tau*(p-1)*lane_width bytes of source data laid out row-major
 over the information cells; the final stripe is zero padded and the true
 length recorded in the header.  Shards are self-describing: reconstruction
-needs nothing but the shard directory.
+needs nothing but the shard directory.  A reader accepts only the format
+version it writes (VERSION); a shard of any other version is refused with
+UnsupportedVersion rather than read as if it were this one.
 
 Both directions stream the data in batches of BATCH_BYTES of source (at
 least one stripe), so memory use depends on the batch, not the file.  Each
 batch becomes one CodeArray whose every lane is that cell concatenated over
 the batch's stripes, and one call of the compiled encode or decode program
 covers the whole batch.  The input is read to its end, so it may be a
-pipe; the headers, which record its length, are written last.  A read
-loads the surviving information shards and, only when an information
-column is lost, the parity shards its decode program reads; `decode`
-restores every lost column of the batch, and the read keeps the
+pipe; the headers, which record its length, are written last.
+
+A read loads the surviving information shards and, only when an
+information column is lost, the parity shards its decode program reads.
+When a column is lost, the needed shards of a batch are gathered into one
+batch array, and `decode` converts each cell of it to an int at most once
+(see `decoder`) and restores the lost columns; the read keeps the
 information columns.  The output is written to a temporary file beside it
 and renamed into place after the last batch, so a failed read leaves an
 existing output untouched.
@@ -46,7 +51,13 @@ from pathlib import Path
 from .codearray import CodeArray, ErasurePattern
 from .codec import encode
 from .decoder import decode, decoding_program
-from .errors import CrcFailure, HeaderMismatch, LaneWidthOutOfRange, TooManyMissing
+from .errors import (
+    CrcFailure,
+    HeaderMismatch,
+    LaneWidthOutOfRange,
+    TooManyMissing,
+    UnsupportedVersion,
+)
 from .params import CodeParams, validate_params
 
 MAGIC = b"EOFLEX01"
@@ -85,7 +96,9 @@ class ShardHeader:
         return body + struct.pack("<I", zlib.crc32(body))
 
     @classmethod
-    def unpack(cls, raw: bytes) -> "ShardHeader":
+    def unpack(cls, raw: bytes, name: str = "shard") -> "ShardHeader":
+        """Parse a header.  A CRC or magic failure raises CrcFailure; a
+        version other than VERSION raises UnsupportedVersion naming `name`."""
         if len(raw) < HEADER_SIZE:
             raise CrcFailure("shard too short for header")
         body, (crc,) = raw[: _HEADER.size], struct.unpack("<I", raw[_HEADER.size : HEADER_SIZE])
@@ -94,6 +107,10 @@ class ShardHeader:
         magic, version, tau, p, k, column, lane_width, stripes, length = _HEADER.unpack(body)
         if magic != MAGIC:
             raise CrcFailure(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise UnsupportedVersion(
+                f"{name} has shard format version {version}; only version {VERSION} is supported"
+            )
         return cls(version, tau, p, k, column, lane_width, stripes, length)
 
     def payload_length(self, params: CodeParams) -> int:
@@ -205,24 +222,25 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     """Open the usable shards on `stack`: returns (reference header,
     params, column -> file positioned at its payload).  A file whose header
     fails its CRC, or whose payload length is not what the header implies,
-    counts as missing (an erasure of that column).  Headers that disagree,
-    a column index above k+1 and two shards of one column raise
+    counts as missing (an erasure of that column).  A header of another
+    format version raises UnsupportedVersion.  Headers that disagree, a
+    column index above k+1 and two shards of one column raise
     HeaderMismatch."""
     found: dict[int, tuple] = {}
     reference: ShardHeader | None = None
     for path in sorted(Path(directory).glob("shard_*.eof")):
         fh = stack.enter_context(open(path, "rb"))
         try:
-            header = ShardHeader.unpack(fh.read(HEADER_SIZE))
+            header = ShardHeader.unpack(fh.read(HEADER_SIZE), str(path))
         except CrcFailure:
             continue
         key = (header.tau, header.p, header.k, header.lane_width,
-               header.stripe_count, header.original_length, header.version)
+               header.stripe_count, header.original_length)
         if reference is None:
             reference = header
         elif key != (reference.tau, reference.p, reference.k,
                      reference.lane_width, reference.stripe_count,
-                     reference.original_length, reference.version):
+                     reference.original_length):
             raise HeaderMismatch(f"{path} disagrees with other shards")
         column = header.column_index
         if column > header.k + 1:

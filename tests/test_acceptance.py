@@ -4,7 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 
 Two groups of instances are expected failures (strict xfail), both rooted
 in properties of the construction itself, verified independently by the
-GF(2) oracle and documented in the README:
+GF(2) oracle:
 
   * (2,7,4) columns (0,3) are not recoverable: a nonzero information
     pattern on those two columns encodes to all-zero parity

@@ -1,9 +1,10 @@
+import dataclasses
 import hashlib
 
 import pytest
 
 from eoflex.cli import main
-from eoflex.shardio import shard_path
+from eoflex.shardio import HEADER_SIZE, ShardHeader, shard_path
 
 
 def run(capsys, *argv):
@@ -103,3 +104,18 @@ class TestEncodeDecode:
         assert code == 2
         assert err.startswith("error: lane width") and err.count("\n") == 1
         assert not shards.exists()
+
+    def test_unknown_version_is_diagnosed(self, capsys, tmp_path, rng):
+        src = tmp_path / "file.bin"
+        src.write_bytes(rng.randbytes(1000))
+        shards = tmp_path / "shards"
+        run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+            "--lane-width", "16", str(src), str(shards))
+        for c in range(5):
+            blob = shard_path(shards, c).read_bytes()
+            header = dataclasses.replace(ShardHeader.unpack(blob), version=7)
+            shard_path(shards, c).write_bytes(header.pack() + blob[HEADER_SIZE:])
+        code, _, err = run(capsys, "decode", str(shards), str(tmp_path / "o.bin"))
+        assert code == 2
+        assert err.startswith("error: ") and "version 7" in err and err.count("\n") == 1
+        assert not (tmp_path / "o.bin").exists()

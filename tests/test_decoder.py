@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -32,6 +33,26 @@ def encoded_random(triple, rng, width=1):
     return encode(CodeArray.random(prm, width, rng))
 
 
+class CountedLane(bytes):
+    """A lane that counts its conversions to an int: `int.from_bytes` reads
+    a bytes subclass through `__bytes__`."""
+
+    def __bytes__(self):
+        self.conversions[self.cell] += 1
+        return self[:]
+
+
+def counted(arr, columns):
+    """Make the cells of `columns` count their conversions; returns the
+    Counter keyed by (row, column)."""
+    conversions = Counter()
+    for i, row in enumerate(arr.cells):
+        for j in columns:
+            row[j] = CountedLane(row[j])
+            row[j].conversions, row[j].cell = conversions, (i, j)
+    return conversions
+
+
 class TestDispatch:
     def test_both_parity_columns(self, rng):
         arr = encoded_random((2, 5, 3), rng)
@@ -45,6 +66,23 @@ class TestDispatch:
         ref = arr.copy()
         decode(arr, ErasurePattern.of(*pattern))
         assert arr == ref
+
+    @pytest.mark.parametrize("triple", [(2, 5, 3), (1, 11, 7), (3, 9, 3)])
+    def test_info_and_parity_loss_converts_no_cell_twice(self, triple, rng):
+        # The parity re-encode takes the cells the decode already holds as
+        # ints, so no surviving cell is converted from bytes a second time.
+        prm = validate_params(*triple)
+        for f in range(prm.k):
+            for parity in (prm.k, prm.k + 1):
+                arr = encoded_random(triple, rng, 4)
+                ref = arr.copy()
+                arr.set_column(f, [bytes(4)] * prm.rows)
+                arr.set_column(parity, [bytes(4)] * prm.rows)
+                survivors = set(range(prm.k + 2)) - {f, parity}
+                conversions = counted(arr, survivors)
+                decode(arr, ErasurePattern.of(f, parity))
+                assert arr == ref
+                assert conversions and max(conversions.values()) == 1, (f, parity)
 
     def test_too_many_erasures(self, rng):
         arr = encoded_random((2, 5, 3), rng)

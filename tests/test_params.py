@@ -7,7 +7,7 @@ from eoflex.errors import (
     NonPositiveTau,
     PNotOdd,
 )
-from eoflex.params import Regime, common_row_threshold, validate_params
+from eoflex.params import Regime, validate_params
 
 
 def test_table_example_instance():
@@ -67,7 +67,7 @@ def test_fifteen_rejected_for_k4():
     [((2, 5, 3), 4), ((1, 5, 3), 2), ((4, 5, 3), 4)],
 )
 def test_common_row_threshold(triple, expected):
-    assert common_row_threshold(validate_params(*triple)) == expected
+    assert validate_params(*triple).n_c == expected
 
 
 @pytest.mark.parametrize("p,k", [(5, 3), (7, 4), (7, 5), (9, 3), (11, 7), (3, 2)])

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import os
@@ -8,7 +9,13 @@ import tracemalloc
 import pytest
 
 from eoflex import shardio
-from eoflex.errors import ChainStall, CrcFailure, HeaderMismatch, TooManyMissing
+from eoflex.errors import (
+    ChainStall,
+    CrcFailure,
+    HeaderMismatch,
+    TooManyMissing,
+    UnsupportedVersion,
+)
 from eoflex.params import validate_params
 from eoflex.shardio import (
     BATCH_BYTES,
@@ -84,6 +91,19 @@ class TestHeader:
         raw = b"NOTMAGIC" + ShardHeader(1, 2, 5, 3, 0, 64, 1, 10).pack()[8:]
         with pytest.raises(CrcFailure):
             ShardHeader.unpack(raw)
+
+    def test_unknown_version(self):
+        raw = ShardHeader(7, 2, 5, 3, 0, 64, 1, 10).pack()
+        with pytest.raises(UnsupportedVersion, match="x.eof has shard format version 7"):
+            ShardHeader.unpack(raw, "x.eof")
+
+
+def rewrite_version(shards, version, columns):
+    """Give the shards of `columns` a header of `version` with a valid CRC."""
+    for c in columns:
+        blob = shard_path(shards, c).read_bytes()
+        header = dataclasses.replace(ShardHeader.unpack(blob), version=version)
+        shard_path(shards, c).write_bytes(header.pack() + blob[HEADER_SIZE:])
 
 
 class TestRoundTrip:
@@ -318,6 +338,14 @@ class TestMalformedShards:
         shard_path(shards, 4).write_bytes(bad.pack() + blob[HEADER_SIZE:])
         with pytest.raises(HeaderMismatch, match="shard_4.eof"):
             reconstruct(shards, tmp_path / "out.bin")
+
+    def test_unknown_version_rejected(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 30_000)
+        rewrite_version(shards, 7, range(PRM.k + 2))
+        out = tmp_path / "out.bin"
+        with pytest.raises(UnsupportedVersion, match=r"shard_0\.eof has shard format version 7"):
+            reconstruct(shards, out)
+        assert not out.exists()
 
     def test_duplicate_column_index(self, tmp_path, rng):
         _, shards = encoded(tmp_path, rng, 30_000)
