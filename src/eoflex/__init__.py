@@ -5,7 +5,7 @@ from any two column erasures, a GF(2) Gaussian-elimination oracle, and
 XOR-level complexity instrumentation.
 """
 
-from .codearray import CodeArray, ErasurePattern, mod_ring, xor_lanes
+from .codearray import CodeArray, ErasurePattern, xor_lanes
 from .codec import encode, update_cell
 from .decoder import decode
 from .params import CodeParams, Regime, validate_params
@@ -17,7 +17,6 @@ __all__ = [
     "Regime",
     "decode",
     "encode",
-    "mod_ring",
     "update_cell",
     "validate_params",
     "xor_lanes",

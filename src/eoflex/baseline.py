@@ -31,7 +31,7 @@ def validate_evenodd(p: int, k: int) -> EvenoddParams:
     return EvenoddParams(p, k)
 
 
-def evenodd_encode(info: list[list[Lane]], p: int, k: int, counter=None) -> list[list[Lane]]:
+def evenodd_encode(info: list[list[Lane]], p: int, k: int) -> list[list[Lane]]:
     """Encode a (p-1) x k grid of lanes into a (p-1) x (k+2) grid.
 
     Column k is row parity; column k+1 is the common bit XOR the diagonal
@@ -50,20 +50,20 @@ def evenodd_encode(info: list[list[Lane]], p: int, k: int, counter=None) -> list
     for j in range(1, k):
         cell = read(p - 1 - j, j)
         if cell is not None:
-            common = xor_lanes(common, cell, counter)
+            common = xor_lanes(common, cell)
 
     out = [row[:] + [zero_lane(width), zero_lane(width)] for row in info]
     for i in range(p - 1):
         acc = info[i][0]
         for j in range(1, k):
-            acc = xor_lanes(acc, info[i][j], counter)
+            acc = xor_lanes(acc, info[i][j])
         out[i][k] = acc
     for i in range(p - 1):
         acc = common
         for j in range(k):
             cell = read(i - j, j)
             if cell is not None:
-                acc = xor_lanes(acc, cell, counter)
+                acc = xor_lanes(acc, cell)
         out[i][k + 1] = acc
     return out
 

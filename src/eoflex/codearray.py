@@ -4,9 +4,8 @@ A lane is a `bytes` block of the array's lane width; it stands in for one
 bit of the construction, with every bit position inside the lane evolving
 under the same XOR equations.  So a lane may also concatenate the same cell
 of many stripes, and one encode or decode then covers all of them.  Rows
-tau*(p-1) .. tau*p-1 are *virtual*: reads of information columns there
-return the zero lane, which keeps all subscript arithmetic uniform modulo
-tau*p.
+tau*(p-1) .. tau*p-1 of the subscript ring Z_{tau*p} are *virtual*: they
+are not stored, read as zero, and the encode and decode rules skip them.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .errors import IndexOutOfRing, TooManyErasures
+from .errors import TooManyErasures
 from .params import CodeParams
 
 DEFAULT_LANE_WIDTH = 64
@@ -26,22 +25,11 @@ def zero_lane(width: int) -> Lane:
     return bytes(width)
 
 
-def xor_lanes(a: Lane, b: Lane, counter=None) -> Lane:
-    """Elementwise XOR of two equal-width lanes.
-
-    `counter`, when given, is ticked once per call; it is how measured
-    XOR counts are collected without any global state.
-    """
-    if counter is not None:
-        counter.tick()
+def xor_lanes(a: Lane, b: Lane) -> Lane:
+    """Elementwise XOR of two equal-width lanes."""
     return (
         int.from_bytes(a, "little") ^ int.from_bytes(b, "little")
     ).to_bytes(len(a), "little")
-
-
-def mod_ring(params: CodeParams, x: int) -> int:
-    """Canonical representative of x modulo tau*p, in [0, tau*p-1]."""
-    return x % params.ring
 
 
 @dataclass
@@ -76,22 +64,6 @@ class CodeArray:
                         raise ValueError("lane width mismatch in cell grid")
 
     # -- accessors ---------------------------------------------------------
-
-    def virtual_read(self, i: int, j: int) -> Lane:
-        """Read information cell (i, j) with the virtual-row convention.
-
-        i must already be reduced into [0, tau*p-1]; rows >= tau*(p-1)
-        read as the zero lane.
-        """
-        p = self.params
-        if not (0 <= i < p.ring) or not (0 <= j < p.k):
-            raise IndexOutOfRing(f"({i},{j}) outside ring {p.ring} x info columns {p.k}")
-        if i >= p.rows:
-            return zero_lane(self.lane_width)
-        return self.cells[i][j]
-
-    def is_virtual(self, i: int) -> bool:
-        return i >= self.params.rows
 
     def get(self, i: int, j: int) -> Lane:
         return self.cells[i][j]

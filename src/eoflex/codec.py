@@ -16,8 +16,8 @@ re-encodes a lost parity column holds all of them) are passed in `values`
 and not converted again.  A lane may concatenate the cells of many
 stripes.  Common bits are computed once per encode and reused across the
 n_c rows, and virtual diagonal terms are skipped rather than XOR-ed as zero
-lanes, so an injected XOR counter sees exactly 2*(k-1)*tau*(p-1) - t + n_c
-lane XORs per encode.  `encode` can also fill one parity column alone, as
+lanes, so the program runs exactly 2*(k-1)*tau*(p-1) - t + n_c lane XORs
+per encode.  `encode` can also fill one parity column alone, as
 a decode that lost only that parity column does.
 """
 
@@ -28,7 +28,7 @@ import functools
 from .codearray import CodeArray, Lane, xor_lanes
 from .errors import ParityColumnNotUpdatable
 from .params import CodeParams
-from .program import CACHE_SIZE, ZERO, Builder, Program
+from .program import CACHE_SIZE, Builder, Program
 
 CommonBits = list  # list of t value ids
 
@@ -45,22 +45,16 @@ def common_bit_participants(params: CodeParams, mu: int) -> list[tuple[int, int]
 def compute_common_bits(b: Builder) -> CommonBits:
     """XOR up the t common bits from the information columns."""
     p = b.params
-    out = []
-    for mu in range(p.t):
-        acc = None
-        for i, j in common_bit_participants(p, mu):
-            cell = b.get(i, j)
-            acc = cell if acc is None else b.xor(acc, cell)
-        out.append(ZERO if acc is None else acc)
-    return out
+    return [b.xor_cells(common_bit_participants(p, mu)) for mu in range(p.t)]
 
 
-def _diag_terms(params: CodeParams, i: int) -> list[tuple[int, int]]:
-    """Real diagonal cells of parity row i: (row, column) with row < rows."""
+def diagonal_terms(params: CodeParams, i: int, skip=()) -> list[tuple[int, int]]:
+    """Real cells of diagonal i outside the columns in `skip`: (row, column)
+    pairs with row < rows, the column-0 term first."""
     terms = []
     for j in range(params.k):
         r = (i - j) % params.ring
-        if r < params.rows:
+        if r < params.rows and j not in skip:
             terms.append((r, j))
     return terms
 
@@ -71,21 +65,12 @@ def parity_columns(b: Builder, columns) -> dict[int, list[int]]:
     p = b.params
     out = {}
     if p.k in columns:
-        row = []
-        for i in range(p.rows):
-            acc = b.get(i, 0)
-            for j in range(1, p.k):
-                acc = b.xor(acc, b.get(i, j))
-            row.append(acc)
-        out[p.k] = row
+        out[p.k] = [b.xor_cells((i, j) for j in range(p.k)) for i in range(p.rows)]
     if p.k + 1 in columns:
         s = compute_common_bits(b)
         diag = []
         for i in range(p.rows):
-            terms = _diag_terms(p, i)
-            acc = b.get(*terms[0])  # j=0 term is always real
-            for rc in terms[1:]:
-                acc = b.xor(acc, b.get(*rc))
+            acc = b.xor_cells(diagonal_terms(p, i))
             if i < p.n_c:
                 acc = b.xor(acc, s[i % p.t])
             diag.append(acc)
@@ -103,17 +88,14 @@ def encoding_program(params: CodeParams, columns: tuple[int, ...]) -> Program:
     return b.finish([v for c in columns for v in cols[c]], f"encode {columns} of {params}")
 
 
-def encode(array: CodeArray, counter=None, *, columns=None, values=None) -> CodeArray:
+def encode(array: CodeArray, *, columns=None, values=None) -> CodeArray:
     """Fill both parity columns, or the parity `columns` given, from the
     information columns, in place.  `values` maps (row, column) to the
     information cells the caller already holds as ints; those cells are
     taken from it and their bytes in `array` are not read."""
     p = array.params
     columns = (p.k, p.k + 1) if columns is None else tuple(sorted(columns))
-    program = encoding_program(p, columns)
-    program.run_into(array, columns, values)
-    if counter is not None:
-        counter.tick(program.xor_count)
+    encoding_program(p, columns).run_into(array, columns, values)
     return array
 
 
@@ -139,9 +121,7 @@ def parity_dependents(params: CodeParams, i: int, j: int) -> list[tuple[int, int
     return positions
 
 
-def update_cell(
-    array: CodeArray, i: int, j: int, new_value: Lane, counter=None
-) -> list[tuple[int, int]]:
+def update_cell(array: CodeArray, i: int, j: int, new_value: Lane) -> list[tuple[int, int]]:
     """Replace information cell (i, j), XOR-patching affected parity cells.
 
     Returns the distinct parity positions patched.  Patching a cell with
@@ -155,9 +135,9 @@ def update_cell(
         raise ParityColumnNotUpdatable(
             f"column {j} is not an information column (k={p.k})"
         )
-    delta = xor_lanes(array.get(i, j), new_value, counter)
+    delta = xor_lanes(array.get(i, j), new_value)
     array.set(i, j, new_value)
     positions = parity_dependents(p, i, j)
     for r, c in positions:
-        array.set(r, c, xor_lanes(array.get(r, c), delta, counter))
+        array.set(r, c, xor_lanes(array.get(r, c), delta))
     return positions

@@ -33,7 +33,9 @@ in two stages, `build_syndromes` and the chain of `decode_two_info`; they
 and the re-encode are called through their module-level names, so a traced
 run can time each apart.  The rank check of the chain chaser happens at
 compile time, and so does the common-bit consistency check wherever its
-two sides combine the same cells (see `Builder.check`).
+two sides combine the same cells (see `Builder.check`).  `decode` adds the
+XOR counts of the programs it runs to a `metrics.DecodeTally`, when given
+one.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ import math
 from dataclasses import dataclass
 
 from .codearray import CodeArray, ErasurePattern
-from .codec import common_bit_participants, encode
+from .codec import common_bit_participants, diagonal_terms, encode, encoding_program
 from .errors import (
     ChainStall,
     DiagParityMissing,
@@ -74,24 +76,29 @@ def sum_common_bits(b: Builder) -> int:
     p = b.params
     if p.k in b.erased or p.k + 1 in b.erased:
         raise ParityMissing("both parity columns are required to sum the common bits")
-    acc = b.get(0, p.k)
-    for i in range(1, p.rows):
-        acc = b.xor(acc, b.get(i, p.k))
-    for i in range(p.rows):
-        acc = b.xor(acc, b.get(i, p.k + 1))
-    return acc
+    return b.xor_cells((i, c) for c in (p.k, p.k + 1) for i in range(p.rows))
 
 
-def _reduced_common_surviving(b: Builder, mu: int, skip: tuple[int, int]) -> int | None:
+def _row_syndrome(b: Builder, i: int, skip) -> int:
+    """Row parity i minus the surviving information cells of row i: the
+    XOR of the row's cells in the columns of `skip`."""
+    p = b.params
+    return b.xor_cells([(i, p.k)] + [(i, j) for j in range(p.k) if j not in skip])
+
+
+def _diag_syndrome(b: Builder, i: int, skip) -> int:
+    """Diagonal parity i minus its surviving diagonal terms; the common
+    bit, on the first n_c rows, is left in."""
+    p = b.params
+    return b.xor_cells([(i, p.k + 1)] + diagonal_terms(p, i, skip))
+
+
+def _reduced_common_surviving(b: Builder, mu: int, skip) -> int | None:
     """XOR of the surviving participants of common bit mu (columns outside
     `skip`), or None when no participant survives."""
-    acc = None
-    for r, j in common_bit_participants(b.params, mu):
-        if j in skip:
-            continue
-        cell = b.get(r, j)
-        acc = cell if acc is None else b.xor(acc, cell)
-    return acc
+    return b.xor_cells(
+        (r, j) for r, j in common_bit_participants(b.params, mu) if j not in skip
+    )
 
 
 def pair_syndromes(b: Builder, f: int, g: int) -> SyndromePair:
@@ -103,24 +110,11 @@ def pair_syndromes(b: Builder, f: int, g: int) -> SyndromePair:
     p = b.params
     skip = (f, g)
     b.phase = "reduce"
-    row_syn: list[int] = []
-    for i in range(p.rows):
-        acc = b.get(i, p.k)
-        for j in range(p.k):
-            if j not in skip:
-                acc = b.xor(acc, b.get(i, j))
-        row_syn.append(acc)
-
+    row_syn = [_row_syndrome(b, i, skip) for i in range(p.rows)]
     reduced_s = [_reduced_common_surviving(b, mu, skip) for mu in range(p.t)]
     diag_syn: list[int] = []
     for i in range(p.rows):
-        acc = b.get(i, p.k + 1)
-        for j in range(p.k):
-            if j in skip:
-                continue
-            r = (i - j) % p.ring
-            if r < p.rows:
-                acc = b.xor(acc, b.get(r, j))
+        acc = _diag_syndrome(b, i, skip)
         if i < p.n_c and reduced_s[i % p.t] is not None:
             acc = b.xor(acc, reduced_s[i % p.t])
         diag_syn.append(acc)
@@ -128,9 +122,7 @@ def pair_syndromes(b: Builder, f: int, g: int) -> SyndromePair:
     b.phase = "sum_common"
     sum_s = sum_common_bits(b)
     b.phase = "reduce"
-    for value in reduced_s:
-        if value is not None:
-            sum_s = b.xor(sum_s, value)
+    sum_s = b.xor_values(reduced_s, sum_s)
     return SyndromePair(f, g, row_syn, diag_syn, sum_s)
 
 
@@ -180,9 +172,6 @@ class _PairEngine:
 
     # -- helpers -----------------------------------------------------------
 
-    def _xor(self, acc: int | None, value: int) -> int:
-        return value if acc is None else self.b.xor(acc, value)
-
     def _set_cell(self, side: int, pos: int, value: int) -> None:
         self.val[side][pos] = value
         self.known[side][pos] = True
@@ -203,17 +192,14 @@ class _PairEngine:
             known_parts = [(s, q) for s, q in parts if self.known[s][q]]
             if not self.s_known[mu]:
                 if len(known_parts) == len(parts):
-                    acc = None
-                    for s, q in parts:
-                        acc = self._xor(acc, self.val[s][q])
-                    self.s_val[mu] = acc
+                    self.s_val[mu] = self.b.xor_values(self.val[s][q] for s, q in parts)
                     self.s_known[mu] = True
                     progress = True
             elif len(known_parts) == len(parts) - 1:
                 (ms, mq) = next((s, q) for s, q in parts if not self.known[s][q])
-                acc = self.s_val[mu]
-                for s, q in known_parts:
-                    acc = self.b.xor(acc, self.val[s][q])
+                acc = self.b.xor_values(
+                    (self.val[s][q] for s, q in known_parts), self.s_val[mu]
+                )
                 self._set_cell(ms, mq, acc)
                 progress = True
         return progress
@@ -251,13 +237,14 @@ class _PairEngine:
         p = self.p
         fpos, gpos = self._diag_positions(i)
         mu = self._s_index(i)
-        acc = self.syn.diag_syn[i]
+        terms = []
         if self.known[0][fpos] and fpos < p.rows:
-            acc = self.b.xor(acc, self.val[0][fpos])
+            terms.append(self.val[0][fpos])
         if self.known[1][gpos] and gpos < p.rows:
-            acc = self.b.xor(acc, self.val[1][gpos])
+            terms.append(self.val[1][gpos])
         if mu is not None and self.s_known[mu] and not self.s_struct_zero[mu]:
-            acc = self.b.xor(acc, self.s_val[mu])
+            terms.append(self.s_val[mu])
+        acc = self.b.xor_values(terms, self.syn.diag_syn[i])
         kind, where = target
         if kind == "F":
             self._set_cell(0, where, acc)
@@ -304,11 +291,10 @@ class _PairEngine:
         if len(unknown) != 1:
             return False
         mu = unknown[0]
-        acc = self.syn.sum_s
-        for other in range(self.p.t):
-            if other != mu and not self.s_struct_zero[other]:
-                acc = self.b.xor(acc, self.s_val[other])
-        self.s_val[mu] = acc
+        others = [
+            self.s_val[o] for o in range(self.p.t) if o != mu and not self.s_struct_zero[o]
+        ]
+        self.s_val[mu] = self.b.xor_values(others, self.syn.sum_s)
         self.s_known[mu] = True
         return True
 
@@ -350,22 +336,21 @@ class _PairEngine:
         if len(unknowns) != 1:
             return False
         p = self.p
-        acc = None
-        for step in range(length):
-            acc = self._xor(acc, self.syn.diag_syn[(a + step * self.d) % p.ring])
+        terms = [self.syn.diag_syn[(a + step * self.d) % p.ring] for step in range(length)]
         for step in range(length - 1):
             pos = (a - self.f + step * self.d) % p.ring
             if pos < p.rows:
-                acc = self._xor(acc, self.syn.row_syn[pos])
+                terms.append(self.syn.row_syn[pos])
         if use_sum:
-            acc = self._xor(acc, self.syn.sum_s)
+            terms.append(self.syn.sum_s)
         for mu in range(p.t):
             if coeffs[mu] and self.s_known[mu] and not self.s_struct_zero[mu]:
-                acc = self._xor(acc, self.s_val[mu])
+                terms.append(self.s_val[mu])
         if self.known[0][end_f] and end_f < p.rows:
-            acc = self._xor(acc, self.val[0][end_f])
+            terms.append(self.val[0][end_f])
         if self.known[1][start_g] and start_g < p.rows:
-            acc = self._xor(acc, self.val[1][start_g])
+            terms.append(self.val[1][start_g])
+        acc = self.b.xor_values(terms)
         kind, where = unknowns[0]
         if kind == "F":
             self._set_cell(0, where, acc)
@@ -428,17 +413,12 @@ class _PairEngine:
                 f"{p}; {len(missing)} cells unresolved (rank-deficient pair "
                 "or decoder bug)"
             )
-        # Recovered common bits must match their definitions.  The XORs
-        # are not counted, and the Builder settles the comparison at
-        # compile time when both sides combine the same cells.
-        self.b.phase = None
+        # Recovered common bits must match their definitions.  The Builder
+        # settles the comparison at compile time when both sides combine
+        # the same cells.
         for mu in range(p.t):
-            if not self.s_known[mu]:
-                continue
-            acc = ZERO
-            for s, q in self.s_parts[mu]:
-                acc = self.b.xor(acc, self.val[s][q])
-            self.b.check(acc, self.s_val[mu])
+            if self.s_known[mu]:
+                self.b.check([self.val[s][q] for s, q in self.s_parts[mu]], self.s_val[mu])
         return (
             [self.val[0][q] for q in range(p.rows)],
             [self.val[1][q] for q in range(p.rows)],
@@ -465,14 +445,7 @@ def decode_info_via_row_parity(b: Builder, f: int) -> list[int]:
     p = b.params
     if p.k in b.erased:
         raise RowParityMissing("row-parity column is erased")
-    column = []
-    for i in range(p.rows):
-        acc = b.get(i, p.k)
-        for j in range(p.k):
-            if j != f:
-                acc = b.xor(acc, b.get(i, j))
-        column.append(acc)
-    return column
+    return [_row_syndrome(b, i, (f,)) for i in range(p.rows)]
 
 
 def decode_info_with_diag_parity(b: Builder, f: int) -> list[int]:
@@ -488,58 +461,27 @@ def decode_info_with_diag_parity(b: Builder, f: int) -> list[int]:
     p = b.params
     if p.k + 1 in b.erased:
         raise DiagParityMissing("diagonal-parity column is erased")
-
+    skip = (f,)
+    # Common bits from their surviving participants; the column-f one (real
+    # exactly when mu < f) is XORed in as the seed rows recover it.
+    s = [_reduced_common_surviving(b, mu, skip) for mu in range(p.t)]
     known: dict[int, int] = {}
-
-    def survivors(i: int) -> int:
-        acc = b.get(i, p.k + 1)
-        for j in range(p.k):
-            if j == f:
-                continue
-            r = (i - j) % p.ring
-            if r < p.rows:
-                acc = b.xor(acc, b.get(r, j))
-        return acc
-
-    # Reduced common bits: surviving participants XORed up; the column-f
-    # participant (real exactly when mu < f) is filled in below.
-    s_partials: list[int] = []
-    s_f_part: list[int | None] = []
-    for mu in range(p.t):
-        acc = ZERO
-        for r, j in common_bit_participants(p, mu):
-            if j != f:
-                acc = b.xor(acc, b.get(r, j))
-        s_partials.append(acc)
-        s_f_part.append((p.rows + mu - f) % p.ring if mu < f else None)
-
-    seed_rows = range(f - 1, max(0, f - p.t) - 1, -1) if f >= 1 else range(0)
+    seed_rows = range(f - 1, max(0, f - p.t) - 1, -1)
     for i in seed_rows:
-        mu = i % p.t
-        cell_pos = s_f_part[mu]
-        assert cell_pos is not None
         # Diagonal term of column f at row i is virtual here (i - f lands
         # in the virtual band), so the only unknown is the participant.
-        known[cell_pos] = b.xor(survivors(i), s_partials[mu])
+        mu = i % p.t
+        cell = b.xor_values([_diag_syndrome(b, i, skip), s[mu]])
+        known[(p.rows + mu - f) % p.ring] = cell
+        s[mu] = b.xor_values([s[mu], cell])
 
-    s_full: list[int] = []
-    for mu in range(p.t):
-        pos = s_f_part[mu]
-        if pos is None:
-            s_full.append(s_partials[mu])
-        else:
-            s_full.append(b.xor(s_partials[mu], known[pos]))
-
-    seed_set = set(seed_rows)
     for i in range(p.rows):
-        if i in seed_set:
-            continue
         r = (i - f) % p.ring
-        if r >= p.rows:
+        if i in seed_rows or r >= p.rows:
             continue
-        acc = survivors(i)
+        acc = _diag_syndrome(b, i, skip)
         if i < p.n_c:
-            acc = b.xor(acc, s_full[i % p.t])
+            acc = b.xor(acc, s[i % p.t])
         known[r] = acc
 
     if len(known) != p.rows:
@@ -591,13 +533,14 @@ def decode(array: CodeArray, pattern: ErasurePattern, tally=None) -> CodeArray:
     Cells of erased columns are never read; every other column must be
     intact.  Erased information columns are recovered first, then only the
     erased parity columns are re-encoded.  `tally`, when given, is a
-    metrics.DecodeTally whose counters see the parity-sum,
-    syndrome-reduction and chain-solving (or re-encode) XORs of one lane.
+    metrics.DecodeTally: the XOR counts of the decode program's phases are
+    added to it, and the re-encode's count under "chase".
     """
     p = array.params
     pattern.validate(p)
     info = sorted(c for c in pattern.erased if c < p.k)
-    parity = pattern.erased - set(info)
+    parity = tuple(sorted(pattern.erased - set(info)))
+    xors = []
     values = None
     if info:
         program = decoding_program(p, pattern.erased)
@@ -609,9 +552,10 @@ def decode(array: CodeArray, pattern: ErasurePattern, tally=None) -> CodeArray:
         program.store(regs, array, info)
         if parity:
             values = program.cell_values(regs, info)
-        if tally is not None:
-            for phase, n in program.xors:
-                getattr(tally, phase).tick(n)
+        xors += program.xors
     if parity:
-        encode(array, tally.chase if tally is not None else None, columns=parity, values=values)
+        encode(array, columns=parity, values=values)
+        xors.append(("chase", encoding_program(p, parity).xor_count))
+    if tally is not None:
+        tally.add(xors)
     return array

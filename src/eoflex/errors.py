@@ -40,10 +40,6 @@ class LaneWidthOutOfRange(ParameterError):
     """A shard lane width below 1 or above the header's u32 field."""
 
 
-class IndexOutOfRing(CodeError, IndexError):
-    pass
-
-
 class ParityColumnNotUpdatable(CodeError, ValueError):
     pass
 

@@ -15,52 +15,46 @@ Counting convention (matching how the costs decompose analytically):
     reproduce, while the closed form ignores virtual-row losses and is
     only an approximation.
 
-Counters are injected per run; there is no global mutable state.
+Every count is read off the compiled XOR programs (`Program.xors`), which
+hold the XORs each phase runs; no count needs an array, an encode or a
+decode.
 """
 
 from __future__ import annotations
 
 import io
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import baseline
-from .codearray import CodeArray, ErasurePattern
-from .codec import encode, parity_dependents
-from .decoder import decode
-from .errors import PNotPrime, PTooSmall
+from .codec import encoding_program, parity_dependents
+from .decoder import decoding_program
+from .errors import ChainStall, PNotPrime, PTooSmall
 from .params import CodeParams, Regime
-
-
-class XorCounter:
-    """Counts lane XORs; pass to encode/decode entry points."""
-
-    __slots__ = ("count",)
-
-    def __init__(self):
-        self.count = 0
-
-    def tick(self, n: int = 1) -> None:
-        self.count += n
 
 
 @dataclass
 class DecodeTally:
-    """Per-phase XOR counters for one two-column decode."""
+    """Lane XORs per phase, summed over the decodes it is passed to (see
+    `decoder.decode`)."""
 
-    sum_common: XorCounter = field(default_factory=XorCounter)
-    reduce: XorCounter = field(default_factory=XorCounter)
-    chase: XorCounter = field(default_factory=XorCounter)
+    sum_common: int = 0
+    reduce: int = 0
+    chase: int = 0
+
+    def add(self, xors) -> None:
+        """Add (phase, count) pairs, as `Program.xors` holds them."""
+        for phase, n in xors:
+            setattr(self, phase, getattr(self, phase) + n)
 
     @property
     def comparable(self) -> int:
         """Parity-sum plus chain phases, the quantity the closed forms model."""
-        return self.sum_common.count + self.chase.count
+        return self.sum_common + self.chase
 
     @property
     def total(self) -> int:
-        return self.sum_common.count + self.reduce.count + self.chase.count
+        return self.sum_common + self.reduce + self.chase
 
 
 # -- closed forms ------------------------------------------------------------
@@ -131,20 +125,16 @@ def evenodd_plus_reference(p: int, k: int) -> dict[str, Fraction]:
 # -- measurements ------------------------------------------------------------
 
 
-def count_encode_xors(params: CodeParams, seed: int = 0) -> int:
-    """Lane XORs performed by one encode (data independent)."""
-    arr = CodeArray.random(params, 1, random.Random(seed))
-    counter = XorCounter()
-    encode(arr, counter)
-    return counter.count
+def count_encode_xors(params: CodeParams) -> int:
+    """Lane XORs of one encode of both parity columns."""
+    return encoding_program(params, (params.k, params.k + 1)).xor_count
 
 
-def count_decode_xors(params: CodeParams, f: int, g: int, seed: int = 0) -> DecodeTally:
-    """Per-phase XOR tallies for decoding erased information columns f, g
-    of a random encoded array (the schedule is data independent)."""
-    arr = encode(CodeArray.random(params, 1, random.Random(seed)))
+def count_decode_xors(params: CodeParams, f: int, g: int) -> DecodeTally:
+    """Per-phase lane XORs of recovering erased information columns f < g.
+    Raises ChainStall on a rank-deficient pair."""
     tally = DecodeTally()
-    decode(arr, ErasurePattern.of(f, g), tally)
+    tally.add(decoding_program(params, frozenset((f, g))).xors)
     return tally
 
 
@@ -289,7 +279,7 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
-def complexity_report(param_list, decode_pairs="all", seed: int = 0) -> ComplexityReport:
+def complexity_report(param_list, decode_pairs="all") -> ComplexityReport:
     """Measure encode/decode/update complexity for each parameter set and
     put the closed-form values alongside.
 
@@ -297,8 +287,6 @@ def complexity_report(param_list, decode_pairs="all", seed: int = 0) -> Complexi
     Pairs whose two-erasure system is rank deficient are skipped (they
     cannot be decoded; the verify command reports them).
     """
-    from .errors import ChainStall
-
     rows = []
     for params in param_list:
         if decode_pairs == "all":
@@ -312,7 +300,7 @@ def complexity_report(param_list, decode_pairs="all", seed: int = 0) -> Complexi
         decode_rows = []
         for f, g in pairs:
             try:
-                tally = count_decode_xors(params, f, g, seed)
+                tally = count_decode_xors(params, f, g)
             except ChainStall:
                 continue
             decode_rows.append(
@@ -325,7 +313,7 @@ def complexity_report(param_list, decode_pairs="all", seed: int = 0) -> Complexi
         rows.append(
             ReportRow(
                 params=params,
-                encode_measured=count_encode_xors(params, seed),
+                encode_measured=count_encode_xors(params),
                 encode_formula=encode_xor_formula(params),
                 decode=decode_rows,
                 update=measure_update_complexity(params),

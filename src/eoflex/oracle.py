@@ -11,14 +11,14 @@ of the generator are the identity.
 
 from __future__ import annotations
 
+import functools
 import io
 import random
 from dataclasses import dataclass, field
 
 from .errors import Underdetermined
 from .params import CodeParams
-
-_solver_cache: dict = {}
+from .program import CACHE_SIZE
 
 
 @dataclass
@@ -129,12 +129,13 @@ class ErasureSolver:
         return [(m & received).bit_count() & 1 for m in self._combo]
 
 
+_cached_solver = functools.lru_cache(maxsize=CACHE_SIZE)(ErasureSolver)
+
+
 def erasure_solver(params: CodeParams, erased_columns) -> ErasureSolver:
-    key = (params, frozenset(erased_columns))
-    solver = _solver_cache.get(key)
-    if solver is None:
-        solver = _solver_cache[key] = ErasureSolver(params, key[1])
-    return solver
+    """The solver of one erasure pattern, built once per (params, erased
+    columns) and kept in a bounded cache."""
+    return _cached_solver(params, frozenset(erased_columns))
 
 
 def gaussian_decode(
@@ -265,29 +266,3 @@ def _pair_full_rank(params: CodeParams, g: BinaryMatrix, c1: int, c2: int) -> bo
         rank += 1
     return True
 
-
-def threshold_sweep(max_rows: int = 24):
-    """Rank-check every valid parameter set with tau*(p-1) <= max_rows.
-
-    Returns (clean, broken): parameter sets whose every column pair is
-    recoverable, and a list of (params, deficient_pairs) for the rest.
-    """
-    from .errors import ParameterError
-    from .params import validate_params
-
-    clean, broken = [], []
-    for p in range(3, max_rows + 2, 2):
-        for k in range(2, p + 1):
-            for tau in range(1, max_rows // (p - 1) + 1):
-                try:
-                    params = validate_params(tau, p, k)
-                except ParameterError:
-                    continue
-                if params.rows > max_rows:
-                    continue
-                bad = rank_check(params)
-                if bad:
-                    broken.append((params, bad))
-                else:
-                    clean.append(params)
-    return clean, broken

@@ -5,14 +5,16 @@ erasure pattern, never on the data.  The rule code in `codec` and `decoder`
 therefore runs once, on symbolic cells: a `Builder` hands out value ids for
 the array cells it reads and records one instruction per XOR the rules ask
 for.  `Builder.finish` turns the recording into a `Program`, one register
-per value, and keeps the XOR count of each phase the rules ran in, so the
-counters of `metrics` read the same numbers as when the rules XORed lanes
-one by one.
+per value, and keeps the XOR count of each phase the rules ran in.  Those
+counts are the package's only XOR accounting: `metrics` and `decoder.decode`
+read them off the programs.  Their sum is the number of XORs the program
+runs, apart from the uncounted ones of a consistency check left for run
+time.
 
 The Builder also tracks which input cells each value combines.  A
-consistency check between two values that combine the same cells holds for
-any input, so it is settled at compile time; only the others are compared
-when the program runs.
+consistency check between two sides that combine the same cells holds for
+any input, so it is settled at compile time and emits no code; only the
+others are compared when the program runs.
 
 Running a program converts each input cell to an int once, XORs ints in a
 flat loop and converts only the output cells back to bytes.  `load` takes
@@ -134,8 +136,10 @@ class Builder:
     program input the first time; cells of `erased` columns must be `set`
     by the rules before they are read.  `xor` counts one XOR against the
     current `phase` (None counts nothing) and returns the id of the result;
-    XORs with the zero value cost no instruction.  `end_stage` cuts the
-    code recorded so far off as a stage.
+    XORs with the zero value cost no instruction.  Rules build their sums
+    with `xor_values` and `xor_cells`, which start from None, the empty
+    sum, so a sum of n terms counts and emits n-1 XORs.  `end_stage` cuts
+    the code recorded so far off as a stage.
     """
 
     def __init__(self, params, erased=frozenset()):
@@ -179,12 +183,31 @@ class Builder:
         self._code.append((value, a, b))
         return value
 
-    def check(self, a: int, b: int) -> None:
-        """Require values a and b to be equal when the program runs.  Values
-        that combine the same input cells are equal on any input, and the
-        check is dropped."""
-        if self._mask[a] != self._mask[b]:
-            self._checks.append((a, b))
+    def xor_values(self, values, acc: int | None = None) -> int | None:
+        """XOR `values` onto `acc` and return the sum.  None stands for the
+        empty sum: it costs no XOR, and is returned when there is nothing
+        to XOR."""
+        for value in values:
+            if value is not None:
+                acc = value if acc is None else self.xor(acc, value)
+        return acc
+
+    def xor_cells(self, cells, acc: int | None = None) -> int | None:
+        """XOR the array cells `cells`, (row, column) pairs, onto `acc`."""
+        return self.xor_values((self.get(i, j) for i, j in cells), acc)
+
+    def check(self, values, target: int) -> None:
+        """Require the XOR of `values` to equal `target` when the program
+        runs.  When both sides combine the same input cells they are equal
+        on any input: the check is dropped and emits no code.  Otherwise the
+        XORs of `values` are emitted, uncounted, and compared at run time."""
+        mask = 0
+        for value in values:
+            mask ^= self._mask[value]
+        if mask != self._mask[target]:
+            phase, self.phase = self.phase, None
+            self._checks.append((self.xor_values(values, ZERO), target))
+            self.phase = phase
 
     def end_stage(self) -> None:
         self._stages.append(len(self._code))

@@ -1,45 +1,10 @@
 import pytest
 
-from eoflex.codearray import CodeArray, ErasurePattern, mod_ring, xor_lanes, zero_lane
-from eoflex.errors import IndexOutOfRing, TooManyErasures
+from eoflex.codearray import CodeArray, ErasurePattern, xor_lanes, zero_lane
+from eoflex.errors import TooManyErasures
 from eoflex.params import validate_params
 
 PRM = validate_params(2, 5, 3)
-
-
-def test_virtual_rows_read_zero():
-    arr = CodeArray.zeros(PRM, 4)
-    arr.set(7, 1, b"\x01\x02\x03\x04")
-    assert arr.virtual_read(8, 1) == zero_lane(4)
-    assert arr.virtual_read(9, 2) == zero_lane(4)
-    assert arr.virtual_read(7, 1) == b"\x01\x02\x03\x04"
-
-
-def test_virtual_read_ignores_contents(rng):
-    arr = CodeArray.random(PRM, 2, rng)
-    for i in range(PRM.rows, PRM.ring):
-        for j in range(PRM.k):
-            assert arr.virtual_read(i, j) == zero_lane(2)
-
-
-def test_virtual_read_rejects_out_of_ring():
-    arr = CodeArray.zeros(PRM, 1)
-    with pytest.raises(IndexOutOfRing):
-        arr.virtual_read(10, 0)
-    with pytest.raises(IndexOutOfRing):
-        arr.virtual_read(0, 3)  # j must be an information column
-
-
-@pytest.mark.parametrize("x,expected", [(-2, 8), (0, 0), (17, 7)])
-def test_mod_ring_examples(x, expected):
-    assert mod_ring(PRM, x) == expected
-
-
-def test_mod_ring_range():
-    for x in range(-PRM.ring, 2 * PRM.ring + 1):
-        r = mod_ring(PRM, x)
-        assert 0 <= r < PRM.ring
-        assert (x - r) % PRM.ring == 0
 
 
 def test_xor_lanes_properties(rng):

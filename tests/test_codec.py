@@ -8,10 +8,10 @@ from eoflex.codec import (
     common_bit_participants,
     compute_common_bits,
     encode,
+    encoding_program,
     update_cell,
 )
 from eoflex.errors import ParityColumnNotUpdatable
-from eoflex.metrics import XorCounter
 from eoflex.params import validate_params
 
 PRM = validate_params(2, 5, 3)
@@ -89,15 +89,13 @@ class TestEncode:
                 other = 2 * prm.k + 1 - c
                 arr.set_column(c, [bytes(2)] * prm.rows)
                 arr.set_column(other, [b"\xff\xff"] * prm.rows)
-                counter = XorCounter()
-                encode(arr, counter, columns={c})
+                encode(arr, columns={c})
                 assert arr.column(c) == want.column(c)
                 assert arr.column(other) == [b"\xff\xff"] * prm.rows
-                counts.append(counter.count)
-            full = XorCounter()
-            encode(want.copy(), full)
+                counts.append(encoding_program(prm, (c,)).xor_count)
+            full = encoding_program(prm, (prm.k, prm.k + 1)).xor_count
             assert counts[0] == prm.rows * (prm.k - 1)
-            assert sum(counts) == full.count
+            assert sum(counts) == full
 
     @pytest.mark.parametrize("columns", [None, {3}, {4}])
     def test_given_values_replace_cell_bytes(self, columns, rng):

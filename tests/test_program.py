@@ -6,7 +6,7 @@ import pytest
 from conftest import ACCEPTANCE_SETS, deficient_pairs
 
 from eoflex.codearray import CodeArray, ErasurePattern
-from eoflex.codec import encode
+from eoflex.codec import encode, encoding_program
 from eoflex.decoder import decode, decoding_program
 from eoflex.errors import ChainStall
 from eoflex.oracle import erasure_solver
@@ -47,7 +47,7 @@ class TestBuilder:
 
     def test_failing_check_raises(self):
         b = Builder(PRM)
-        b.check(b.get(0, 0), b.get(0, 1))
+        b.check([b.get(0, 0)], b.get(0, 1))
         program = b.finish([], "t")
         assert program.run(lanes_of(b"\x05", b"\x05")) == []
         with pytest.raises(ChainStall):
@@ -56,8 +56,10 @@ class TestBuilder:
     def test_check_of_equal_combinations_is_settled_at_compile_time(self):
         b = Builder(PRM)
         x, y, z = b.get(0, 0), b.get(0, 1), b.get(0, 2)
-        b.check(b.xor(b.xor(x, y), z), b.xor(x, b.xor(z, y)))
-        assert b.finish([], "t").checks == ()
+        b.check([x, y, z], b.xor(x, b.xor(z, y)))
+        program = b.finish([], "t")
+        assert program.checks == ()
+        assert len(program.code) == 2 * 3  # the right-hand side only
 
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
     def test_pair_decode_common_bit_checks_are_settled(self, triple):
@@ -67,6 +69,19 @@ class TestBuilder:
         for pair in itertools.combinations(range(prm.k), 2):
             if pair not in deficient_pairs(triple):
                 assert decoding_program(prm, frozenset(pair)).checks == ()
+
+    @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
+    def test_xor_count_is_the_instruction_count(self, triple):
+        # Every XOR a program counts is one it runs, and it runs no other.
+        prm = validate_params(*triple)
+        k = prm.k
+        programs = [encoding_program(prm, cols) for cols in ((k,), (k + 1,), (k, k + 1))]
+        patterns = [(c,) for c in range(k)] + list(itertools.combinations(range(k + 2), 2))
+        for cols in patterns:
+            if cols[0] < k and cols not in deficient_pairs(triple):
+                programs.append(decoding_program(prm, frozenset(cols)))
+        for program in programs:
+            assert program.xor_count == len(program.code) // 3, program.name
 
     def test_stages_split_the_code(self):
         program = decoding_program(PRM, frozenset({0, 2}))
