@@ -41,6 +41,7 @@ one.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -410,8 +411,8 @@ class _PairEngine:
             ]
             raise ChainStall(
                 f"no rule makes progress for columns ({self.f},{self.g}) of "
-                f"{p}; {len(missing)} cells unresolved (rank-deficient pair "
-                "or decoder bug)"
+                f"{p}; {len(missing)} cells unresolved (rank-deficient pair, "
+                "or a full-rank one the chain rules cannot solve)"
             )
         # Recovered common bits must match their definitions.  The Builder
         # settles the comparison at compile time when both sides combine
@@ -496,8 +497,9 @@ def decoding_program(params: CodeParams, erased: frozenset) -> Program:
     """Compile the recovery of the erased information columns, which must
     be one or two: outputs one column after the other, row by row.
 
-    Raises ChainStall when the rules cannot recover the pattern, as on the
-    rank-deficient column pairs of non-MDS parameter sets.
+    Raises ChainStall when the rules cannot recover the pattern: on the
+    rank-deficient column pairs of non-MDS parameter sets, and on the
+    full-rank pairs the chain rules find no way through.
     """
     b = Builder(params, erased)
     b.phase = "chase"
@@ -512,6 +514,32 @@ def decoding_program(params: CodeParams, erased: frozenset) -> Program:
         [v for column in columns for v in column],
         f"decode of columns {sorted(erased)} of {params}",
     )
+
+
+def recovery_programs(params: CodeParams, erased) -> list[tuple[Program, list[int]]]:
+    """The programs `decode` runs for the loss of the `erased` columns,
+    each with the columns it restores: the decode of the erased information
+    columns, then the encode of the erased parity columns.  Raises
+    ChainStall as `decoding_program` does."""
+    info = sorted(c for c in erased if c < params.k)
+    parity = sorted(c for c in erased if c >= params.k)
+    programs = [(decoding_program(params, frozenset(erased)), info)] if info else []
+    if parity:
+        programs.append((encoding_program(params, tuple(parity)), parity))
+    return programs
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def undecodable_pairs(params: CodeParams) -> tuple[tuple[int, int], ...]:
+    """The column pairs whose loss `decode` cannot recover: those whose
+    recovery programs do not compile."""
+    bad = []
+    for pair in itertools.combinations(range(params.k + 2), 2):
+        try:
+            recovery_programs(params, pair)
+        except ChainStall:
+            bad.append(pair)
+    return tuple(bad)
 
 
 def build_syndromes(program: Program, regs: list[int]) -> None:

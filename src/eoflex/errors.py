@@ -40,6 +40,23 @@ class LaneWidthOutOfRange(ParameterError):
     """A shard lane width below 1 or above the header's u32 field."""
 
 
+class UndecodablePairs(ParameterError):
+    """A valid code whose decoder cannot recover the loss of some column
+    pairs, named in `pairs`; shards of it are not written."""
+
+    def __init__(self, params, pairs):
+        self.pairs = pairs
+        names = ", ".join(f"{a}+{b}" for a, b in pairs)
+        super().__init__(
+            f"{params} cannot recover the loss of columns {names}; "
+            "eoflex verify tells rank-deficient pairs from decoder stalls"
+        )
+
+
+class ParamsFileError(CodeError, ValueError):
+    """A parameter file line that does not hold three integers tau, p, k."""
+
+
 class ParityColumnNotUpdatable(CodeError, ValueError):
     pass
 
@@ -63,9 +80,11 @@ class ParityMissing(CodeError, ValueError):
 class ChainStall(CodeError, RuntimeError):
     """The chain decoder could not make progress.
 
-    For parameter sets whose two-erasure system is full rank this signals
-    an implementation bug; it also fires, by design, on the rank-deficient
-    column pairs of non-MDS parameter sets instead of returning garbage.
+    It fires, by design, on the rank-deficient column pairs of non-MDS
+    parameter sets instead of returning garbage.  It also fires on some
+    full-rank pairs, such as (2,5,5) columns 2+4, where the chain rules
+    find no way through although the pair is recoverable; `eoflex verify`
+    tells the two apart.
     """
 
 

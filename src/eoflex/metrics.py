@@ -132,7 +132,7 @@ def count_encode_xors(params: CodeParams) -> int:
 
 def count_decode_xors(params: CodeParams, f: int, g: int) -> DecodeTally:
     """Per-phase lane XORs of recovering erased information columns f < g.
-    Raises ChainStall on a rank-deficient pair."""
+    Raises ChainStall on a pair the chain decoder cannot recover."""
     tally = DecodeTally()
     tally.add(decoding_program(params, frozenset((f, g))).xors)
     return tally
@@ -284,8 +284,9 @@ def complexity_report(param_list, decode_pairs="all") -> ComplexityReport:
     put the closed-form values alongside.
 
     decode_pairs: "all" for every information pair, or a list of (f, g).
-    Pairs whose two-erasure system is rank deficient are skipped (they
-    cannot be decoded; the verify command reports them).
+    Pairs the chain decoder stalls on are skipped: the rank-deficient ones,
+    and the full-rank ones its rules find no way through (the verify
+    command names both kinds).
     """
     rows = []
     for params in param_list:

@@ -1,5 +1,5 @@
 """Independent GF(2) ground truth: generator matrix, Gaussian-elimination
-erasure decoding, and exhaustive MDS sweeps.
+erasure decoding, and exact proofs of the compiled programs.
 
 The generator is a literal transcription of the parity definitions into a
 dense bit matrix (rows packed into Python ints, one bit per information
@@ -7,18 +7,22 @@ position), so it shares no code with the lane encoder; the test suite
 cross-checks the two.  Bit order: position index = column*rows + row for
 array cell (row, column), information cells first -- the top k*rows rows
 of the generator are the identity.
+
+`rank_check` names the column pairs no decoder can recover.  For the
+others, `check_program` proves a compiled encode or decode program exact
+on every codeword at once, with no random data: the program runs once on
+the generator's rows.
 """
 
 from __future__ import annotations
 
 import functools
-import io
-import random
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass
 
 from .errors import Underdetermined
 from .params import CodeParams
-from .program import CACHE_SIZE
+from .program import CACHE_SIZE, Program
 
 
 @dataclass
@@ -163,106 +167,37 @@ def encode_bits(params: CodeParams, info_bits: list[int]) -> list[int]:
     return g.mul_vec(packed)
 
 
-@dataclass
-class PairResult:
-    columns: tuple[int, ...]
-    ok: bool
-    detail: str = ""
+def check_program(params: CodeParams, program: Program, columns) -> list[str]:
+    """Prove a compiled program against the generator matrix.
 
-
-@dataclass
-class MdsReport:
-    params: CodeParams
-    trials: int
-    seed: int
-    pairs: list[PairResult] = field(default_factory=list)
-
-    @property
-    def failures(self) -> list[PairResult]:
-        return [r for r in self.pairs if not r.ok]
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("tau,p,k,columns,status,detail\n")
-        pm = self.params
-        for r in self.pairs:
-            cols = "+".join(str(c) for c in r.columns)
-            status = "pass" if r.ok else "fail"
-            buf.write(f"{pm.tau},{pm.p},{pm.k},{cols},{status},{r.detail}\n")
-        return buf.getvalue()
-
-
-def mds_exhaustive_check(
-    params: CodeParams, trials: int = 100, seed: int = 0
-) -> MdsReport:
-    """For every column pair, decode `trials` random arrays by Gaussian
-    elimination and compare with the original.  Failures are recorded in
-    the report, not raised.
+    A program is GF(2)-linear, so running it once with each input register
+    holding the generator row of its cell (a mask over the information
+    bits) gives each output as the mask of the information bits it
+    combines.  Each output must equal the generator row of the cell `store`
+    places it in, in `columns` (see `Program.cell_values`), and both sides
+    of every check must be equal.  Returns one line per fault; an empty
+    list means the program is exact on every codeword.
     """
-    rng = random.Random(seed)
-    report = MdsReport(params, trials, seed)
-    n_info = params.k * params.rows
-    trial_infos = [
-        [rng.randrange(2) for _ in range(n_info)] for _ in range(trials)
+    g = generator_matrix(params)
+    rows = params.rows
+    regs = [0] * program.registers
+    it = iter(program.inputs)
+    for r, i, j in zip(it, it, it):
+        regs[r] = g.bits[j * rows + i]
+    program.execute(regs)
+    faults = [
+        f"cell ({i},{c})"
+        for (i, c), mask in program.cell_values(regs, columns).items()
+        if mask != g.bits[c * rows + i]
     ]
-    trial_words = [encode_bits(params, info) for info in trial_infos]
-    cols = params.k + 2
-    for c1 in range(cols):
-        for c2 in range(c1 + 1, cols):
-            pair = (c1, c2)
-            try:
-                solver = erasure_solver(params, pair)
-                if not solver.full_rank:
-                    raise Underdetermined(
-                        f"rank {solver.rank} < {n_info}"
-                    )
-                bad = None
-                for info, word in zip(trial_infos, trial_words):
-                    got = gaussian_decode(params, word, pair)
-                    if got != info:
-                        bad = "decode mismatch"
-                        break
-                report.pairs.append(PairResult(pair, bad is None, bad or ""))
-            except Underdetermined as exc:
-                report.pairs.append(PairResult(pair, False, str(exc)))
-    return report
+    faults += [f"check {n}" for n, (a, b) in enumerate(program.checks) if regs[a] != regs[b]]
+    return faults
 
 
 def rank_check(params: CodeParams) -> list[tuple[int, int]]:
     """Column pairs whose erasure system is rank deficient (data free)."""
-    bad = []
-    cols = params.k + 2
-    g = generator_matrix(params)
-    for c1 in range(cols):
-        for c2 in range(c1 + 1, cols):
-            if not _pair_full_rank(params, g, c1, c2):
-                bad.append((c1, c2))
-    return bad
-
-
-def _pair_full_rank(params: CodeParams, g: BinaryMatrix, c1: int, c2: int) -> bool:
-    """Rank-only elimination over the rows surviving erasure of (c1, c2)."""
-    n = params.k * params.rows
-    rows = [
-        g.bits[c * params.rows + i]
-        for c in range(params.k + 2)
-        if c not in (c1, c2)
-        for i in range(params.rows)
+    return [
+        pair
+        for pair in itertools.combinations(range(params.k + 2), 2)
+        if not erasure_solver(params, pair).full_rank
     ]
-    rank = 0
-    for c in range(n):
-        pivot = None
-        for rr in range(rank, len(rows)):
-            if (rows[rr] >> c) & 1:
-                pivot = rr
-                break
-        if pivot is None:
-            return False
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        prow = rows[rank]
-        for rr in range(rank + 1, len(rows)):
-            if (rows[rr] >> c) & 1:
-                rows[rr] ^= prow
-        rank += 1
-    return True
-

@@ -50,12 +50,13 @@ from pathlib import Path
 
 from .codearray import CodeArray, ErasurePattern
 from .codec import encode
-from .decoder import decode, decoding_program
+from .decoder import decode, decoding_program, undecodable_pairs
 from .errors import (
     CrcFailure,
     HeaderMismatch,
     LaneWidthOutOfRange,
     TooManyMissing,
+    UndecodablePairs,
     UnsupportedVersion,
 )
 from .params import CodeParams, validate_params
@@ -189,8 +190,12 @@ def shard_file(
     """Encode a file into k+2 shard files named shard_<col>.eof, reading
     and encoding it one batch of stripes at a time until its end.  The
     input may be a pipe; the headers, which hold the length, are written
-    last.  Existing shard files are rewritten in place."""
+    last.  Existing shard files are rewritten in place.  Parameters whose
+    decoder cannot recover the loss of some column pair are refused with
+    UndecodablePairs before anything is opened."""
     _check_lane_width(lane_width)
+    if bad := undecodable_pairs(params):
+        raise UndecodablePairs(params, bad)
     k = params.k
     stripe_bytes = k * params.rows * lane_width
     batch_bytes = _stripes_per_batch(params, lane_width) * stripe_bytes

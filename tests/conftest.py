@@ -16,7 +16,7 @@ ACCEPTANCE_SETS = [
 # (2,7,4) columns (0,3): the two-erasure system is rank deficient -- the
 # all-but-row-0 pattern on both columns encodes to all-zero parities, so no
 # decoder can tell it from zero.  Verified by tests/test_oracle.py
-# (test_known_rank_gap) and by the explicit kernel in
+# (TestRankCheck) and by the explicit kernel in
 # tests/test_decoder.py (test_rank_deficient_pair_has_kernel).
 KNOWN_RANK_DEFICIENT = {(2, 7, 4): [(0, 3)]}
 

@@ -31,9 +31,9 @@ from eoflex.baseline import (
     evenodd_update_formula,
     tau1_equivalence_check,
 )
-from eoflex.codearray import CodeArray, ErasurePattern
+from eoflex.codearray import CodeArray
 from eoflex.codec import encode
-from eoflex.decoder import decode
+from eoflex.decoder import recovery_programs
 from eoflex.errors import DivisorConditionViolated
 from eoflex.metrics import (
     complexity_report,
@@ -44,11 +44,9 @@ from eoflex.metrics import (
     evenodd_plus_reference,
     measure_update_complexity,
 )
-from eoflex.oracle import erasure_solver, mds_exhaustive_check
+from eoflex.oracle import check_program, erasure_solver, rank_check
 from eoflex.params import validate_params
 from eoflex.shardio import reconstruct, shard_file, shard_path
-
-TRIALS = 100
 
 # Decode instances whose measured XOR count exceeds the idealized budget
 # (formula + t); frozen from measurement, each within +2.
@@ -84,40 +82,15 @@ def _criterion1_params():
 
 @pytest.mark.parametrize("triple", list(_criterion1_params()))
 def test_criterion_1_mds_sweep(triple):
-    """Every column pair, >=100 random width-1 arrays, chain decoder and
-    Gaussian oracle agree bit for bit with the original."""
+    """Every column pair is full rank, and the programs that decode its
+    loss are proved exact on every codeword against the generator matrix."""
     prm = validate_params(*triple)
-    rng = random.Random(0xACCE97 + hash(triple) % 1000)
-    rows, k = prm.rows, prm.k
-    pair_count = 0
-    for cols in itertools.combinations(range(k + 2), 2):
-        solver = erasure_solver(prm, cols)
-        assert solver.full_rank, (triple, cols)
-        positions = solver.surviving
-        for _ in range(TRIALS):
-            arr = CodeArray.random(prm, 1, rng)
-            encode(arr)
-            ref = arr.copy()
-
-            decode(arr, ErasurePattern.of(*cols))
-            assert arr == ref, (triple, cols)
-
-            packed = [0] * 8
-            for idx, pos in enumerate(positions):
-                byte = ref.get(pos % rows, pos // rows)[0]
-                for plane in range(8):
-                    if (byte >> plane) & 1:
-                        packed[plane] |= 1 << idx
-            for plane in range(8):
-                got = solver.solve_packed(packed[plane])
-                for j in range(k):
-                    for i in range(rows):
-                        want = (ref.get(i, j)[0] >> plane) & 1
-                        assert got[j * rows + i] == want, (triple, cols, plane)
-                        # chain output already equals ref, so chain and
-                        # oracle agree bit for bit
-        pair_count += 1
-    report(f"1 mds-sweep {prm}: {pair_count} column pairs x {TRIALS} arrays PASS")
+    pairs = list(itertools.combinations(range(prm.k + 2), 2))
+    for cols in pairs:
+        assert erasure_solver(prm, cols).full_rank, (triple, cols)
+        for program, stored in recovery_programs(prm, cols):
+            assert check_program(prm, program, stored) == [], (triple, cols)
+    report(f"1 mds-sweep {prm}: {len(pairs)} column pairs full rank, programs exact PASS")
 
 
 # Diagonal-parity cell contents of the 8x5 example instance, transcribed
@@ -304,6 +277,8 @@ def test_criterion_9_parameter_gate():
             validate_params(1, p, 4)
         assert exc.value.divisor == 3
     prm = validate_params(3, 9, 3)
-    report_obj = mds_exhaustive_check(prm, trials=TRIALS, seed=9)
-    assert report_obj.failures == []
-    report("9 parameter-gate: (1,9,4)/(1,15,4) rejected; (3,9,3) sweeps clean PASS")
+    assert rank_check(prm) == []
+    for cols in itertools.combinations(range(prm.k + 2), 2):
+        for program, stored in recovery_programs(prm, cols):
+            assert check_program(prm, program, stored) == [], cols
+    report("9 parameter-gate: (1,9,4)/(1,15,4) rejected; (3,9,3) proves clean PASS")

@@ -6,6 +6,9 @@ import pytest
 from eoflex.cli import main
 from eoflex.shardio import HEADER_SIZE, ShardHeader, shard_path
 
+# SHA-256 of `eoflex bench --csv` over the default parameter sets.
+BENCH_CSV_SHA256 = "d9ba320918f49e839c8c3c7d15fba803c707fe94cb5ec9b2bed6ed62739f31e7"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -15,9 +18,7 @@ def run(capsys, *argv):
 
 class TestVerify:
     def test_clean_instance(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--tau", "2", "--p", "5", "--k", "3", "--trials", "100"
-        )
+        code, out, _ = run(capsys, "verify", "--tau", "2", "--p", "5", "--k", "3")
         assert code == 0
         assert "10/10 column pairs OK" in out
 
@@ -27,12 +28,22 @@ class TestVerify:
         assert "3" in err and "divisor" in err
 
     def test_known_gap_reported_nonzero(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--tau", "2", "--p", "7", "--k", "4", "--trials", "10"
-        )
+        code, out, _ = run(capsys, "verify", "--tau", "2", "--p", "7", "--k", "4")
         assert code == 1
         assert "14/15 column pairs OK" in out
-        assert "columns 0+3: FAIL" in out
+        assert "columns 0+3: FAIL (rank deficient)\n" in out
+
+    def test_stall_on_full_rank_pair_is_named(self, capsys):
+        code, out, _ = run(capsys, "verify", "--tau", "2", "--p", "7", "--k", "5")
+        assert code == 1
+        assert "columns 0+3: FAIL (rank deficient)\n" in out
+        assert "columns 2+4: FAIL (chain decoder stalls on a full-rank pair)\n" in out
+        assert "19/21 column pairs OK" in out
+
+    def test_random_trial_options_are_gone(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--tau", "2", "--p", "5", "--k", "3", "--trials", "10"])
+        capsys.readouterr()
 
 
 class TestBench:
@@ -52,6 +63,29 @@ class TestBench:
         lines = csv_out.read_text().strip().splitlines()
         assert lines[0].startswith("tau,p,k,metric")
         assert any(line.startswith("2,5,3,encode,-,34,34") for line in lines)
+
+    def test_default_csv_is_golden(self, capsys, tmp_path):
+        # Every per-phase XOR count of the default sets, frozen against
+        # refactors of the rules and the program builder.
+        csv_out = tmp_path / "report.csv"
+        code, _, _ = run(capsys, "bench", "--csv", str(csv_out))
+        assert code == 0
+        assert hashlib.sha256(csv_out.read_bytes()).hexdigest() == BENCH_CSV_SHA256
+
+    @pytest.mark.parametrize("text", [
+        "t,p,k\n2,5,3\n",
+        "tau,p,k\n2,5,3\nx,5,3\n",
+        "tau,p,k\n2,5,3\n2,5\n",
+    ], ids=["no-tau-column", "not-an-integer", "short-row"])
+    def test_malformed_params_file_is_diagnosed(self, capsys, tmp_path, text):
+        pfile = tmp_path / "params.csv"
+        pfile.write_text(text)
+        code, out, err = run(capsys, "bench", "--params-file", str(pfile))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {pfile} line ") and err.count("\n") == 1
+        bad_line = len(text.splitlines())
+        assert f"line {bad_line}:" in err
 
 
 class TestEncodeDecode:
@@ -91,6 +125,21 @@ class TestEncodeDecode:
         code, _, err = run(capsys, "decode", str(shards), str(tmp_path / "o.bin"))
         assert code == 2
         assert "missing" in err
+
+    @pytest.mark.parametrize("triple", [("2", "7", "4"), ("2", "5", "5")])
+    def test_undecodable_parameters_are_refused(self, capsys, tmp_path, triple):
+        # Refused before the input is opened: it does not even exist.
+        shards = tmp_path / "shards"
+        tau, p, k = triple
+        code, out, err = run(
+            capsys, "encode", "--tau", tau, "--p", p, "--k", k,
+            str(tmp_path / "absent.bin"), str(shards),
+        )
+        assert code == 2 and out == ""
+        pair = "0+3" if triple == ("2", "7", "4") else "2+4"
+        assert err.startswith(f"error: ({tau},{p},{k}) cannot recover the loss of columns {pair};")
+        assert err.count("\n") == 1
+        assert not shards.exists()
 
     @pytest.mark.parametrize("width", ["0", "-5", str(2**32)])
     def test_lane_width_out_of_range(self, capsys, tmp_path, width):

@@ -14,6 +14,7 @@ from eoflex.decoder import (
     pair_syndromes,
     recover_pair,
     sum_common_bits,
+    undecodable_pairs,
 )
 from eoflex.errors import (
     ChainStall,
@@ -104,6 +105,18 @@ class TestDispatch:
                 else:
                     decode(arr, ErasurePattern.of(*cols))
                     assert arr == ref, (triple, cols)
+
+
+class TestUndecodablePairs:
+    @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
+    def test_acceptance_sets(self, triple):
+        assert undecodable_pairs(validate_params(*triple)) == tuple(deficient_pairs(triple))
+
+    def test_full_rank_stall_is_undecodable(self):
+        # Every pair of (2,5,5) is full rank, but the chain rules stall on 2+4.
+        assert undecodable_pairs(validate_params(2, 5, 5)) == ((2, 4),)
+        with pytest.raises(ChainStall):
+            decode(encoded_random((2, 5, 5), random.Random(5)), ErasurePattern.of(2, 4))
 
 
 class TestRowParityPath:

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -7,9 +8,9 @@ from conftest import ACCEPTANCE_SETS, deficient_pairs
 
 from eoflex.codearray import CodeArray, ErasurePattern
 from eoflex.codec import encode, encoding_program
-from eoflex.decoder import decode, decoding_program
+from eoflex.decoder import decode, decoding_program, recovery_programs
 from eoflex.errors import ChainStall
-from eoflex.oracle import erasure_solver
+from eoflex.oracle import check_program, erasure_solver
 from eoflex.params import validate_params
 from eoflex.program import ZERO, Builder
 
@@ -99,6 +100,44 @@ class TestBuilder:
             b.get(0, 1)
         b.set(0, 1, b.get(0, 0))
         assert b.get(0, 1) == b.get(0, 0)
+
+
+def every_program(prm, triple):
+    """(program, columns it stores into) for the encoders and every one- and
+    two-column decoding program of `prm`."""
+    k = prm.k
+    patterns = [(c,) for c in range(k + 2)] + list(itertools.combinations(range(k + 2), 2))
+    for cols in patterns:
+        if cols not in deficient_pairs(triple):
+            yield from recovery_programs(prm, cols)
+
+
+class TestProof:
+    @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
+    def test_every_program_is_exact(self, triple):
+        # Each program, run once on the generator's rows, is exact on
+        # every codeword.
+        prm = validate_params(*triple)
+        for program, cols in every_program(prm, triple):
+            assert check_program(prm, program, cols) == [], program.name
+
+    def test_changed_operand_is_flagged(self):
+        program = decoding_program(PRM, frozenset({0, 2}))
+        code = list(program.code)
+        code[-1] = code[-2]  # the last XOR reads one operand twice
+        mutant = dataclasses.replace(program, code=tuple(code))
+        faults = check_program(PRM, mutant, [0, 2])
+        assert faults and all(f.startswith("cell (") for f in faults)
+
+    def test_output_stored_in_the_wrong_column_is_flagged(self):
+        program = encoding_program(PRM, (PRM.k, PRM.k + 1))
+        assert len(check_program(PRM, program, (PRM.k + 1, PRM.k))) == 2 * PRM.rows
+
+    def test_failing_check_is_flagged(self):
+        b = Builder(PRM)
+        b.check([b.get(0, 0)], b.get(0, 1))
+        program = b.finish([b.get(0, 0)], "t")  # cell (0,0), stored in place
+        assert check_program(PRM, program, [0]) == ["check 0"]
 
 
 @pytest.mark.parametrize("triple", [(2, 5, 3), (1, 11, 7), (3, 9, 3), (1, 7, 5), (1, 5, 3)])
