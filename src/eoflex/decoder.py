@@ -16,8 +16,10 @@ those links together.  Three facts drive the walk:
 
 When plain propagation stalls, a telescoping seed (the XOR of a run of
 diagonal syndromes, the row syndromes between them, and optionally the
-common-bit sum) isolates a single unknown.  Solved cells are tracked by an
-explicit known mask; if the engine exhausts every rule with cells still
+common-bit sum) isolates a single unknown.  Every variable (the cells of
+both columns and the reduced common bits) lives in one store, None until
+solved, and every rule is one equation over it, solved by one step once it
+has a single unknown; if the engine exhausts every rule with cells still
 unknown it raises ChainStall rather than returning garbage.
 
 The rules run on symbolic cells (see `program`): `decoding_program` runs
@@ -130,10 +132,16 @@ def pair_syndromes(b: Builder, f: int, g: int) -> SyndromePair:
 class _PairEngine:
     """Chain chaser for two erased information columns.
 
-    Variables: F[pos], G[pos] over ring positions (virtual ones known
-    zero) and the t reduced common bits.  Equations: the row and diagonal
-    syndromes, the common-bit definitions, and the common-bit sum.  The
-    rule schedule is data independent, so XOR counts depend only on the
+    Every variable lives in one store, `val`: the cells ("F", pos) and
+    ("G", pos) of columns f and g over the ring positions, and the reduced
+    common bits ("S", mu).  A variable holds None while unknown and ZERO
+    when known to be zero: the virtual positions, and the common bits with
+    no real participant.  Every rule is one equation, a key list whose
+    variables XOR to its syndrome terms: row i, diagonal i (with its common
+    bit below n_c), each common-bit definition, the common-bit sum and each
+    telescope.  An equation with exactly one unknown solves it as the XOR
+    of the syndrome terms and the known non-zero variables.  The rule
+    schedule is data independent, so XOR counts depend only on the
     parameters and the erased pair.
     """
 
@@ -145,284 +153,169 @@ class _PairEngine:
         self.f = syn.f
         self.g = syn.g
         self.d = syn.g - syn.f
-        # val[side][pos]: side 0 = column f, side 1 = column g.
-        self.val = [[None] * p.ring for _ in range(2)]
-        self.known = [[False] * p.ring for _ in range(2)]
-        for side in range(2):
-            for pos in range(p.rows, p.ring):
-                self.val[side][pos] = ZERO
-                self.known[side][pos] = True
-        # Reduced common bits: definition S'[mu] = F[rows+mu-f] ^ G[rows+mu-g]
-        # restricted to real positions.  No real part => structurally zero.
-        self.s_val: list[int | None] = [None] * p.t
-        self.s_known = [False] * p.t
-        self.s_parts: list[list[tuple[int, int]]] = []
-        self.s_struct_zero = [False] * p.t
-        for mu in range(p.t):
-            parts = []
-            for side, col in ((0, self.f), (1, self.g)):
-                pos = (p.rows + mu - col) % p.ring
-                if pos < p.rows:
-                    parts.append((side, pos))
-            self.s_parts.append(parts)
-            if not parts:
-                self.s_val[mu] = ZERO
-                self.s_known[mu] = True
-                self.s_struct_zero[mu] = True
+        self.val: dict[tuple[str, int], int | None] = {}
+        for pos in range(p.ring):
+            self.val["F", pos] = self.val["G", pos] = None if pos < p.rows else ZERO
+        # S[mu] = F[rows+mu-f] ^ G[rows+mu-g]; zero when both are virtual.
+        self.links = [
+            [("S", mu), ("F", (p.rows + mu - self.f) % p.ring),
+             ("G", (p.rows + mu - self.g) % p.ring)]
+            for mu in range(p.t)
+        ]
+        for s, *parts in self.links:
+            self.val[s] = ZERO if all(self.val[key] == ZERO for key in parts) else None
+        self.row_eqs = [([("F", i), ("G", i)], [syn.row_syn[i]]) for i in range(p.rows)]
+        self.diag_eqs = [
+            (
+                [("F", (i - self.f) % p.ring), ("G", (i - self.g) % p.ring)]
+                + ([("S", i % p.t)] if i < p.n_c else []),
+                [syn.diag_syn[i]],
+            )
+            for i in range(p.rows)
+        ]
+        self.commons = [("S", mu) for mu in range(p.t)]
         self._did_stride_seeds = False
 
-    # -- helpers -----------------------------------------------------------
+    def _pending(self, keys) -> tuple[tuple[str, int], int] | None:
+        """(the unknown, the number of known non-zero terms) when exactly
+        one of `keys` is unknown, else None."""
+        unknown = None
+        cost = 0
+        for key in keys:
+            value = self.val[key]
+            if value is None:
+                if unknown is not None:
+                    return None
+                unknown = key
+            elif value != ZERO:
+                cost += 1
+        return None if unknown is None else (unknown, cost)
 
-    def _set_cell(self, side: int, pos: int, value: int) -> None:
-        self.val[side][pos] = value
-        self.known[side][pos] = True
-
-    def _diag_positions(self, i: int) -> tuple[int, int]:
-        return (i - self.f) % self.p.ring, (i - self.g) % self.p.ring
-
-    def _s_index(self, i: int) -> int | None:
-        return i % self.p.t if i < self.p.n_c else None
+    def _solve(self, keys, rhs: list[int]) -> None:
+        """Set the one unknown of `keys` to the XOR of the syndrome terms
+        `rhs` and the known non-zero variables, in key order."""
+        known = [self.val[key] for key in keys if self.val[key] not in (None, ZERO)]
+        unknown = next(key for key in keys if self.val[key] is None)
+        self.val[unknown] = self.b.xor_values(rhs + known)
 
     # -- rules -------------------------------------------------------------
 
     def _rule_links(self) -> bool:
         """Complete common-bit definitions (zero-cost or single-XOR)."""
         progress = False
-        for mu in range(self.p.t):
-            parts = self.s_parts[mu]
-            known_parts = [(s, q) for s, q in parts if self.known[s][q]]
-            if not self.s_known[mu]:
-                if len(known_parts) == len(parts):
-                    self.s_val[mu] = self.b.xor_values(self.val[s][q] for s, q in parts)
-                    self.s_known[mu] = True
-                    progress = True
-            elif len(known_parts) == len(parts) - 1:
-                (ms, mq) = next((s, q) for s, q in parts if not self.known[s][q])
-                acc = self.b.xor_values(
-                    (self.val[s][q] for s, q in known_parts), self.s_val[mu]
-                )
-                self._set_cell(ms, mq, acc)
+        for keys in self.links:
+            if self._pending(keys):
+                self._solve(keys, [])
                 progress = True
         return progress
-
-    def _solvable_diag(self, i: int):
-        """(unknown, xor_cost) for diagonal row i when it has exactly one
-        unknown, else None.  Cost counts payable terms: known real cells
-        and known non-structurally-zero common bits."""
-        p = self.p
-        fpos, gpos = self._diag_positions(i)
-        mu = self._s_index(i)
-        unknowns = []
-        cost = 0
-        if self.known[0][fpos]:
-            if fpos < p.rows:
-                cost += 1
-        else:
-            unknowns.append(("F", fpos))
-        if self.known[1][gpos]:
-            if gpos < p.rows:
-                cost += 1
-        else:
-            unknowns.append(("G", gpos))
-        if mu is not None:
-            if self.s_known[mu]:
-                if not self.s_struct_zero[mu]:
-                    cost += 1
-            else:
-                unknowns.append(("S", mu))
-        if len(unknowns) != 1:
-            return None
-        return unknowns[0], cost
-
-    def _solve_diag(self, i: int, target) -> None:
-        p = self.p
-        fpos, gpos = self._diag_positions(i)
-        mu = self._s_index(i)
-        terms = []
-        if self.known[0][fpos] and fpos < p.rows:
-            terms.append(self.val[0][fpos])
-        if self.known[1][gpos] and gpos < p.rows:
-            terms.append(self.val[1][gpos])
-        if mu is not None and self.s_known[mu] and not self.s_struct_zero[mu]:
-            terms.append(self.s_val[mu])
-        acc = self.b.xor_values(terms, self.syn.diag_syn[i])
-        kind, where = target
-        if kind == "F":
-            self._set_cell(0, where, acc)
-        elif kind == "G":
-            self._set_cell(1, where, acc)
-        else:
-            self.s_val[where] = acc
-            self.s_known[where] = True
 
     def _rule_equations(self) -> bool:
         """Solve one syndrome equation, cheapest first: row equations cost
         one XOR, diagonal equations one or two depending on how many known
         terms must be folded in.  One solve per call so each new value can
         unlock a cheaper route for the next."""
-        p = self.p
-        for i in range(p.rows):
-            # Row equation: F[i] ^ G[i] = row_syn[i].
-            kf, kg = self.known[0][i], self.known[1][i]
-            if kf != kg:
-                side = 1 if kf else 0
-                other = 0 if kf else 1
-                value = self.b.xor(self.syn.row_syn[i], self.val[other][i])
-                self._set_cell(side, i, value)
+        for keys, rhs in self.row_eqs:
+            if self._pending(keys):
+                self._solve(keys, rhs)
                 return True
         best = None
-        for i in range(p.rows):
-            hit = self._solvable_diag(i)
-            if hit is None:
-                continue
-            target, cost = hit
-            if best is None or cost < best[2]:
-                best = (i, target, cost)
-                if cost <= 1:
+        for keys, rhs in self.diag_eqs:
+            hit = self._pending(keys)
+            if hit and (best is None or hit[1] < best[0]):
+                best = (hit[1], keys, rhs)
+                if hit[1] <= 1:
                     break
         if best is None:
             return False
-        self._solve_diag(best[0], best[1])
+        self._solve(best[1], best[2])
         return True
 
     def _rule_sum(self) -> bool:
         """Last common bit from the parity-sum identity (needs n_c/t even,
         which the threshold rule guarantees)."""
-        unknown = [mu for mu in range(self.p.t) if not self.s_known[mu]]
-        if len(unknown) != 1:
+        if not self._pending(self.commons):
             return False
-        mu = unknown[0]
-        others = [
-            self.s_val[o] for o in range(self.p.t) if o != mu and not self.s_struct_zero[o]
-        ]
-        self.s_val[mu] = self.b.xor_values(others, self.syn.sum_s)
-        self.s_known[mu] = True
+        self._solve(self.commons, [self.syn.sum_s])
         return True
 
     # -- telescoping seeds ---------------------------------------------------
 
-    def _seed_terms(self, a: int, length: int):
-        """Structure of the telescope starting at diagonal row a with
-        `length` diagonal equations of stride d.  Returns None when some
-        needed diagonal row is virtual; otherwise (end_f_pos, start_g_pos,
-        s_coeffs) with s_coeffs[mu] the GF(2) coefficient of S'[mu]."""
+    def _try_seed(self, a: int, length: int) -> bool:
+        """Solve the telescope of `length` diagonal equations of stride d
+        from diagonal row a, alone or plus the common-bit sum: the inner
+        cells cancel against the row equations between them, leaving the
+        last F cell, the G cell before the first, and the common bits that
+        appear an odd number of times.  False when a diagonal row is
+        virtual or neither telescope has exactly one unknown."""
         p = self.p
-        coeffs = [0] * p.t
-        for step in range(length):
-            i = (a + step * self.d) % p.ring
-            if i >= p.rows:
-                return None
-            mu = self._s_index(i)
-            if mu is not None:
-                coeffs[mu] ^= 1
-        end_f = (a + (length - 1) * self.d - self.f) % p.ring
-        start_g = (a - self.d - self.f) % p.ring
-        return end_f, start_g, coeffs
-
-    def _try_seed(self, a: int, length: int, use_sum: bool) -> bool:
-        terms = self._seed_terms(a, length)
-        if terms is None:
+        cells = [("F", (a + (length - 1) * self.d - self.f) % p.ring),
+                 ("G", (a - self.d - self.f) % p.ring)]
+        if self.val[cells[0]] is None and self.val[cells[1]] is None:
             return False
-        end_f, start_g, coeffs = terms
-        if use_sum:
-            coeffs = [c ^ 1 for c in coeffs]
-        unknowns = []
-        if not self.known[0][end_f]:
-            unknowns.append(("F", end_f))
-        if not self.known[1][start_g]:
-            unknowns.append(("G", start_g))
-        for mu in range(self.p.t):
-            if coeffs[mu] and not self.s_known[mu]:
-                unknowns.append(("S", mu))
-        if len(unknowns) != 1:
+        diagonals = [(a + step * self.d) % p.ring for step in range(length)]
+        if any(i >= p.rows for i in diagonals):
             return False
-        p = self.p
-        terms = [self.syn.diag_syn[(a + step * self.d) % p.ring] for step in range(length)]
-        for step in range(length - 1):
-            pos = (a - self.f + step * self.d) % p.ring
-            if pos < p.rows:
-                terms.append(self.syn.row_syn[pos])
-        if use_sum:
-            terms.append(self.syn.sum_s)
-        for mu in range(p.t):
-            if coeffs[mu] and self.s_known[mu] and not self.s_struct_zero[mu]:
-                terms.append(self.s_val[mu])
-        if self.known[0][end_f] and end_f < p.rows:
-            terms.append(self.val[0][end_f])
-        if self.known[1][start_g] and start_g < p.rows:
-            terms.append(self.val[1][start_g])
-        acc = self.b.xor_values(terms)
-        kind, where = unknowns[0]
-        if kind == "F":
-            self._set_cell(0, where, acc)
-        elif kind == "G":
-            self._set_cell(1, where, acc)
-        else:
-            self.s_val[where] = acc
-            self.s_known[where] = True
-        return True
+        odd = [False] * p.t
+        for i in diagonals:
+            if i < p.n_c:
+                odd[i % p.t] ^= True
+        for use_sum in (False, True):
+            keys = [("S", mu) for mu in range(p.t) if odd[mu] != use_sum] + cells
+            if self._pending(keys):
+                rhs = [self.syn.diag_syn[i] for i in diagonals] + [
+                    self.syn.row_syn[pos]
+                    for pos in ((i - self.f) % p.ring for i in diagonals[:-1])
+                    if pos < p.rows
+                ]
+                self._solve(keys, rhs + ([self.syn.sum_s] if use_sum else []))
+                return True
+        return False
 
     def _rule_seed(self) -> bool:
         p = self.p
-        orbit = p.ring // math.gcd(self.d, p.ring)
+        lengths = range(1, p.ring // math.gcd(self.d, p.ring) + 1)
         # First stall of a stride-divisible pattern: seed every chain
         # offset m = 0..d-1 up front, the way the recursive walks do.
         if not self._did_stride_seeds:
             self._did_stride_seeds = True
-            if p.rows % self.d == 0:
-                progress = False
-                for m in range(self.d):
-                    for length in range(1, orbit + 1):
-                        if self._try_seed(m, length, False) or self._try_seed(
-                            m, length, True
-                        ):
-                            progress = True
-                            break
-                if progress:
-                    return True
+            if p.rows % self.d == 0 and any([
+                any(self._try_seed(m, n) for n in lengths) for m in range(self.d)
+            ]):
+                return True
         # General search: shortest telescope first, lowest start row first.
-        for length in range(1, orbit + 1):
-            for a in range(p.ring):
-                for use_sum in (False, True):
-                    if self._try_seed(a, length, use_sum):
-                        return True
-        return False
+        return any(self._try_seed(a, n) for n in lengths for a in range(p.ring))
 
     # -- driver --------------------------------------------------------------
 
     def run(self) -> tuple[list[int], list[int]]:
         p = self.p
+        cells = [(side, q) for side in "FG" for q in range(p.rows)]
         while True:
             if self._rule_links():
                 continue
             if self._rule_equations():
                 continue
-            if all(self.known[0][q] and self.known[1][q] for q in range(p.rows)):
+            if all(self.val[key] is not None for key in cells):
                 break
             if self._rule_sum():
                 continue
             if self._rule_seed():
                 continue
-            missing = [
-                (side, q)
-                for side in range(2)
-                for q in range(p.rows)
-                if not self.known[side][q]
-            ]
+            unresolved = [self.val[key] for key in cells].count(None)
             raise ChainStall(
                 f"no rule makes progress for columns ({self.f},{self.g}) of "
-                f"{p}; {len(missing)} cells unresolved (rank-deficient pair, "
+                f"{p}; {unresolved} cells unresolved (rank-deficient pair, "
                 "or a full-rank one the chain rules cannot solve)"
             )
         # Recovered common bits must match their definitions.  The Builder
         # settles the comparison at compile time when both sides combine
         # the same cells.
-        for mu in range(p.t):
-            if self.s_known[mu]:
-                self.b.check([self.val[s][q] for s, q in self.s_parts[mu]], self.s_val[mu])
+        for s, *parts in self.links:
+            if self.val[s] is not None:
+                self.b.check([self.val[key] for key in parts], self.val[s])
         return (
-            [self.val[0][q] for q in range(p.rows)],
-            [self.val[1][q] for q in range(p.rows)],
+            [self.val["F", q] for q in range(p.rows)],
+            [self.val["G", q] for q in range(p.rows)],
         )
 
 

@@ -182,6 +182,7 @@ class ReportRow:
     encode_measured: int
     encode_formula: int
     decode: list[DecodeRow]
+    skipped: list[tuple[int, int]]  # pairs the chain decoder stalls on
     update: UpdateComplexity
     evenodd_plus: dict[str, Fraction]
     classic_update: Fraction | None  # None when p is not prime
@@ -276,6 +277,13 @@ class ComplexityReport:
                     f"  {pm} columns {d.pair}: measured {d.measured}, "
                     f"formula {d.formula}, delta {d.deviation:+d}"
                 )
+        skipped = [(row.params, pair) for row in self.rows for pair in row.skipped]
+        if skipped:
+            lines.append("")
+            lines.append(
+                "skipped pairs (the chain decoder stalls on them; `eoflex verify` says why):"
+            )
+            lines.extend(f"  {pm} columns {pair}" for pm, pair in skipped)
         return "\n".join(lines)
 
 
@@ -284,9 +292,9 @@ def complexity_report(param_list, decode_pairs="all") -> ComplexityReport:
     put the closed-form values alongside.
 
     decode_pairs: "all" for every information pair, or a list of (f, g).
-    Pairs the chain decoder stalls on are skipped: the rank-deficient ones,
-    and the full-rank ones its rules find no way through (the verify
-    command names both kinds).
+    Pairs the chain decoder stalls on are skipped and listed in the row's
+    `skipped`: the rank-deficient ones, and the full-rank ones its rules
+    find no way through (the verify command names both kinds).
     """
     rows = []
     for params in param_list:
@@ -299,10 +307,12 @@ def complexity_report(param_list, decode_pairs="all") -> ComplexityReport:
         else:
             pairs = list(decode_pairs)
         decode_rows = []
+        skipped = []
         for f, g in pairs:
             try:
                 tally = count_decode_xors(params, f, g)
             except ChainStall:
+                skipped.append((f, g))
                 continue
             decode_rows.append(
                 DecodeRow((f, g), tally.comparable, decode_xor_formula(params, f, g))
@@ -317,6 +327,7 @@ def complexity_report(param_list, decode_pairs="all") -> ComplexityReport:
                 encode_measured=count_encode_xors(params),
                 encode_formula=encode_xor_formula(params),
                 decode=decode_rows,
+                skipped=skipped,
                 update=measure_update_complexity(params),
                 evenodd_plus=evenodd_plus_reference(params.p, params.k),
                 classic_update=classic,

@@ -229,10 +229,12 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     fails its CRC, or whose payload length is not what the header implies,
     counts as missing (an erasure of that column).  A header of another
     format version raises UnsupportedVersion.  Headers that disagree, a
-    column index above k+1 and two shards of one column raise
+    column index above k+1, two shards of one column, a lane width of 0
+    and a stripe count that does not fit the original length raise
     HeaderMismatch."""
     found: dict[int, tuple] = {}
     reference: ShardHeader | None = None
+    reference_path = None
     for path in sorted(Path(directory).glob("shard_*.eof")):
         fh = stack.enter_context(open(path, "rb"))
         try:
@@ -242,7 +244,7 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
         key = (header.tau, header.p, header.k, header.lane_width,
                header.stripe_count, header.original_length)
         if reference is None:
-            reference = header
+            reference, reference_path = header, path
         elif key != (reference.tau, reference.p, reference.k,
                      reference.lane_width, reference.stripe_count,
                      reference.original_length):
@@ -256,6 +258,14 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     if reference is None:
         raise TooManyMissing("no readable shards found")
     params = validate_params(reference.tau, reference.p, reference.k)
+    if reference.lane_width < 1:
+        raise HeaderMismatch(f"{reference_path} records lane width 0")
+    stripes = -(-reference.original_length // (params.k * params.rows * reference.lane_width))
+    if reference.stripe_count != stripes:
+        raise HeaderMismatch(
+            f"{reference_path} records {reference.stripe_count} stripes for "
+            f"{reference.original_length} bytes, which fill {stripes}"
+        )
     payload = reference.payload_length(params)
     shards = {c: fh for c, (fh, size) in found.items() if size == payload}
     return reference, params, shards

@@ -3,22 +3,30 @@ from fractions import Fraction
 import pytest
 
 from eoflex.baseline import (
-    evenodd_encode,
+    evenodd_params,
     evenodd_update_complexity,
     evenodd_update_formula,
     tau1_equivalence_check,
-    validate_evenodd,
 )
+from eoflex.codearray import CodeArray
+from eoflex.codec import encode, encoding_program
 from eoflex.errors import PNotPrime, PTooSmall
 
 
-def lanes(grid):
-    return [[bytes([v]) for v in row] for row in grid]
+def evenodd_encode(grid, p, k):
+    """Encode a (p-1) x k grid of 1-byte cells as classic EVENODD; return
+    the (p-1) x (k+2) grid of lanes."""
+    cells = [[bytes([v]) for v in row] + [b"\x00", b"\x00"] for row in grid]
+    return encode(CodeArray(evenodd_params(p, k), 1, cells)).cells
 
 
 class TestClassicEncoder:
+    def test_params(self):
+        prm = evenodd_params(7, 4)
+        assert (prm.tau, prm.t, prm.n_c, prm.rows, prm.ring) == (1, 1, 6, 6, 7)
+
     def test_zero(self):
-        out = evenodd_encode(lanes([[0] * 3] * 4), 5, 3)
+        out = evenodd_encode([[0] * 3] * 4, 5, 3)
         assert all(cell == b"\x00" for row in out for cell in row)
 
     def test_common_bit_feeds_every_row(self):
@@ -27,21 +35,26 @@ class TestClassicEncoder:
         # diagonal-parity column light up.
         grid = [[0] * 3 for _ in range(4)]
         grid[3][1] = 1
-        out = evenodd_encode(lanes(grid), 5, 3)
+        out = evenodd_encode(grid, 5, 3)
         assert [row[3] for row in out] == [b"\x00"] * 3 + [b"\x01"]
         assert [row[4] for row in out] == [b"\x01"] * 4
 
     def test_plain_diagonal_bit(self):
         grid = [[0] * 3 for _ in range(4)]
         grid[0][0] = 1
-        out = evenodd_encode(lanes(grid), 5, 3)
+        out = evenodd_encode(grid, 5, 3)
         assert [row[4] for row in out] == [b"\x01", b"\x00", b"\x00", b"\x00"]
+
+    @pytest.mark.parametrize("p,k,xors", [(5, 3, 19), (7, 4, 41), (7, 5, 53), (11, 7, 129)])
+    def test_encode_xors(self, p, k, xors):
+        prm = evenodd_params(p, k)
+        assert encoding_program(prm, (k, k + 1)).xor_count == xors
 
     def test_bad_parameters(self):
         with pytest.raises(PNotPrime):
-            validate_evenodd(9, 3)
+            evenodd_params(9, 3)
         with pytest.raises(PTooSmall):
-            validate_evenodd(3, 5)
+            evenodd_params(3, 5)
 
 
 class TestClassicUpdateComplexity:

@@ -168,3 +168,20 @@ class TestEncodeDecode:
         assert code == 2
         assert err.startswith("error: ") and "version 7" in err and err.count("\n") == 1
         assert not (tmp_path / "o.bin").exists()
+
+    @pytest.mark.parametrize("field,value", [("lane_width", 0), ("original_length", 10**9)])
+    def test_inconsistent_header_is_diagnosed(self, capsys, tmp_path, rng, field, value):
+        src = tmp_path / "file.bin"
+        src.write_bytes(rng.randbytes(1000))
+        shards = tmp_path / "shards"
+        run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+            "--lane-width", "16", str(src), str(shards))
+        for c in range(5):
+            blob = shard_path(shards, c).read_bytes()
+            header = dataclasses.replace(ShardHeader.unpack(blob), **{field: value})
+            shard_path(shards, c).write_bytes(header.pack() + blob[HEADER_SIZE:])
+        code, out, err = run(capsys, "decode", str(shards), str(tmp_path / "o.bin"))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {shard_path(shards, 0)} records ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o.bin").exists()

@@ -160,6 +160,18 @@ class TestReport:
         report9 = complexity_report([validate_params(1, 9, 3)])
         assert report9.rows[0].classic_update is None
 
+    def test_skipped_pairs_listed(self):
+        # (2,7,4) 0+3 is rank deficient, (2,5,5) 2+4 a full-rank pair the
+        # chain rules stall on; neither gets a decode row.
+        report = complexity_report([validate_params(2, 7, 4), validate_params(2, 5, 5)])
+        assert [row.skipped for row in report.rows] == [[(0, 3)], [(2, 4)]]
+        assert all(pair not in [d.pair for d in row.decode]
+                   for row in report.rows for pair in row.skipped)
+        text = report.to_text()
+        assert "(2,7,4) columns (0, 3)" in text
+        assert "(2,5,5) columns (2, 4)" in text
+        assert "eoflex verify" in text
+
     def test_deviations_listed(self):
         prm = validate_params(1, 7, 5)
         text = complexity_report([prm]).to_text()

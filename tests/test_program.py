@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -15,6 +16,10 @@ from eoflex.params import validate_params
 from eoflex.program import ZERO, Builder
 
 PRM = validate_params(2, 5, 3)
+
+# SHA-256 of the repr of every program `every_program` yields for the
+# ACCEPTANCE_SETS, in order.
+PROGRAMS_SHA256 = "6e4e17f3be9c7df6cf3098eecc36e45ed5ecb4ab758319f1e4ee13f54e88a5e8"
 
 
 def lanes_of(*values):
@@ -120,6 +125,15 @@ class TestProof:
         prm = validate_params(*triple)
         for program, cols in every_program(prm, triple):
             assert check_program(prm, program, cols) == [], program.name
+
+    def test_every_program_is_golden(self):
+        # Every compiled program, frozen byte for byte against refactors of
+        # the rules and the program builder.
+        digest = hashlib.sha256()
+        for triple in ACCEPTANCE_SETS:
+            for program, _ in every_program(validate_params(*triple), triple):
+                digest.update(repr(program).encode())
+        assert digest.hexdigest() == PROGRAMS_SHA256
 
     def test_changed_operand_is_flagged(self):
         program = decoding_program(PRM, frozenset({0, 2}))
