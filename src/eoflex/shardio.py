@@ -27,6 +27,20 @@ the batch's stripes, and one call of the compiled encode or decode program
 covers the whole batch.  The input is read to its end, so it may be a
 pipe; the headers, which record its length, are written last.
 
+A write rewrites existing shard files in place rather than truncating
+them, which on ext4 would free their blocks and force write-back on close.
+Each shard is opened once, created if absent; its header is overwritten
+with zeros before any payload byte, the payload follows, the file is
+truncated at the end of the payload and only then gets its real header.
+A write that raises, or a process killed part way, thus leaves shards
+whose header fails its CRC, which read as missing.  Nothing is synced, so
+this order holds only in the page cache: after a crash of the machine or
+a power loss during a rewrite, the disk may hold the new payload under
+the old header, or the new header over part of the old payload, and as
+only the header has a CRC a read can then return wrong bytes without an
+error.  Shards shard_<c>.eof with c >= k+2, left by an earlier set with
+more columns, are removed.
+
 A read loads the surviving information shards and, only when an
 information column is lost, the parity shards its decode program reads.
 When a column is lost, the needed shards of a batch are gathered into one
@@ -40,6 +54,7 @@ existing output untouched.
 from __future__ import annotations
 
 import os
+import re
 import secrets
 import struct
 import zlib
@@ -104,7 +119,7 @@ class ShardHeader:
             raise CrcFailure("shard too short for header")
         body, (crc,) = raw[: _HEADER.size], struct.unpack("<I", raw[_HEADER.size : HEADER_SIZE])
         if zlib.crc32(body) != crc:
-            raise CrcFailure("header CRC mismatch")
+            raise CrcFailure("header CRC failed")
         magic, version, tau, p, k, column, lane_width, stripes, length = _HEADER.unpack(body)
         if magic != MAGIC:
             raise CrcFailure(f"bad magic {magic!r}")
@@ -181,6 +196,16 @@ def _read_batch(src, size: int):
     return data
 
 
+def _remove_stale_shards(directory: Path, k: int) -> None:
+    """Delete shard_<c>.eof for every integer c >= k+2 in `directory`: the
+    higher columns of an earlier set, which a read would take as part of
+    this one."""
+    for path in directory.iterdir():
+        match = re.fullmatch(r"shard_([1-9][0-9]*)\.eof", path.name)
+        if match and int(match[1]) >= k + 2:
+            path.unlink()
+
+
 def shard_file(
     input_path: str | os.PathLike,
     params: CodeParams,
@@ -189,8 +214,13 @@ def shard_file(
 ) -> list[Path]:
     """Encode a file into k+2 shard files named shard_<col>.eof, reading
     and encoding it one batch of stripes at a time until its end.  The
-    input may be a pipe; the headers, which hold the length, are written
-    last.  Existing shard files are rewritten in place.  Parameters whose
+    input may be a pipe, and is opened before the output directory is
+    touched.  Existing shard files are rewritten in place, and nothing is
+    synced: the header is zeroed first, the payload written, the file
+    truncated at its end, and the real header, which holds the length,
+    written last, so a write that raises leaves shards that read as
+    missing (a crash of the machine may not; see the module docstring).
+    Shard files of columns k+2 and above are removed.  Parameters whose
     decoder cannot recover the loss of some column pair are refused with
     UndecodablePairs before anything is opened."""
     _check_lane_width(lane_width)
@@ -203,9 +233,11 @@ def shard_file(
     paths = [shard_path(outdir, c) for c in range(k + 2)]
     with open(input_path, "rb") as src, ExitStack() as stack:
         outdir.mkdir(parents=True, exist_ok=True)
-        shards = [stack.enter_context(open(path, "wb")) for path in paths]
+        _remove_stale_shards(outdir, k)
+        shards = [stack.enter_context(open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b"))
+                  for path in paths]
         for fh in shards:
-            fh.seek(HEADER_SIZE)
+            fh.write(bytes(HEADER_SIZE))
         length = 0
         while data := _read_batch(src, batch_bytes):
             length += len(data)
@@ -217,29 +249,40 @@ def shard_file(
                 fh.write(_interleave(arr.column(c), lane_width))
         stripe_count = -(-length // stripe_bytes)
         for c, fh in enumerate(shards):
+            fh.truncate()
             fh.seek(0)
             fh.write(ShardHeader(VERSION, params.tau, params.p, k, c, lane_width,
                                  stripe_count, length).pack())
     return paths
 
 
+def _too_many_missing(message: str, rejected: list[str]) -> TooManyMissing:
+    """TooManyMissing with `message` and the files rejected, and why."""
+    if rejected:
+        message += "; rejected " + ", ".join(sorted(rejected))
+    return TooManyMissing(message)
+
+
 def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     """Open the usable shards on `stack`: returns (reference header,
     params, column -> file positioned at its payload).  A file whose header
     fails its CRC, or whose payload length is not what the header implies,
-    counts as missing (an erasure of that column).  A header of another
-    format version raises UnsupportedVersion.  Headers that disagree, a
-    column index above k+1, two shards of one column, a lane width of 0
-    and a stripe count that does not fit the original length raise
-    HeaderMismatch."""
+    counts as missing (an erasure of that column); if more than two columns
+    are missing, TooManyMissing names each such file and why it was
+    rejected.  A header of another format version raises
+    UnsupportedVersion.  Headers that disagree, a column index above k+1,
+    two shards of one column, a lane width of 0 and a stripe count that
+    does not fit the original length raise HeaderMismatch."""
     found: dict[int, tuple] = {}
+    rejected: list[str] = []
     reference: ShardHeader | None = None
     reference_path = None
     for path in sorted(Path(directory).glob("shard_*.eof")):
         fh = stack.enter_context(open(path, "rb"))
         try:
             header = ShardHeader.unpack(fh.read(HEADER_SIZE), str(path))
-        except CrcFailure:
+        except CrcFailure as exc:
+            rejected.append(f"{path} ({exc})")
             continue
         key = (header.tau, header.p, header.k, header.lane_width,
                header.stripe_count, header.original_length)
@@ -253,10 +296,10 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
         if column > header.k + 1:
             raise HeaderMismatch(f"{path} names column {column}, above k+1 = {header.k + 1}")
         if column in found:
-            raise HeaderMismatch(f"{path} and {found[column][0].name} both hold column {column}")
-        found[column] = (fh, os.fstat(fh.fileno()).st_size - HEADER_SIZE)
+            raise HeaderMismatch(f"{path} and {found[column][0]} both hold column {column}")
+        found[column] = (path, fh, os.fstat(fh.fileno()).st_size - HEADER_SIZE)
     if reference is None:
-        raise TooManyMissing("no readable shards found")
+        raise _too_many_missing("no readable shards found", rejected)
     params = validate_params(reference.tau, reference.p, reference.k)
     if reference.lane_width < 1:
         raise HeaderMismatch(f"{reference_path} records lane width 0")
@@ -267,7 +310,14 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
             f"{reference.original_length} bytes, which fill {stripes}"
         )
     payload = reference.payload_length(params)
-    shards = {c: fh for c, (fh, size) in found.items() if size == payload}
+    shards = {}
+    for c, (path, fh, size) in found.items():
+        if size == payload:
+            shards[c] = fh
+        else:
+            rejected.append(f"{path} (payload {size} bytes where {payload} were expected)")
+    if (missing := params.k + 2 - len(shards)) > 2:
+        raise _too_many_missing(f"{missing} shards missing, can recover at most 2", rejected)
     return reference, params, shards
 
 
@@ -289,8 +339,6 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
     """Stream the original file out of the open `shards` into `output`."""
     k = params.k
     missing = [c for c in range(k + 2) if c not in shards]
-    if len(missing) > 2:
-        raise TooManyMissing(f"{len(missing)} shards missing, can recover at most 2")
     pattern = ErasurePattern(frozenset(missing))
     lost_info = [c for c in missing if c < k]
     needed = set(range(k)) - pattern.erased

@@ -169,8 +169,55 @@ class TestEncodeDecode:
         assert err.startswith("error: ") and "version 7" in err and err.count("\n") == 1
         assert not (tmp_path / "o.bin").exists()
 
-    @pytest.mark.parametrize("field,value", [("lane_width", 0), ("original_length", 10**9)])
-    def test_inconsistent_header_is_diagnosed(self, capsys, tmp_path, rng, field, value):
+    def test_rewrite_with_fewer_columns_decodes(self, capsys, tmp_path, rng):
+        shards = tmp_path / "shards"
+        wide, narrow = tmp_path / "wide.bin", tmp_path / "narrow.bin"
+        wide.write_bytes(rng.randbytes(5000))
+        narrow.write_bytes(rng.randbytes(3000))
+        assert run(capsys, "encode", "--tau", "1", "--p", "11", "--k", "7",
+                   "--lane-width", "16", str(wide), str(shards))[0] == 0
+        assert run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+                   "--lane-width", "16", str(narrow), str(shards))[0] == 0
+        out_file = tmp_path / "o.bin"
+        code, _, err = run(capsys, "decode", str(shards), str(out_file))
+        assert (code, err) == (0, "")
+        assert out_file.read_bytes() == narrow.read_bytes()
+        assert not shard_path(shards, 5).exists()
+
+    def test_rejected_shards_are_named(self, capsys, tmp_path, rng):
+        src = tmp_path / "file.bin"
+        src.write_bytes(rng.randbytes(1000))
+        shards = tmp_path / "shards"
+        run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+            "--lane-width", "16", str(src), str(shards))
+        blob = bytearray(shard_path(shards, 0).read_bytes())
+        blob[20] ^= 1
+        shard_path(shards, 0).write_bytes(bytes(blob))
+        for c in (1, 3):
+            blob = shard_path(shards, c).read_bytes()
+            shard_path(shards, c).write_bytes(blob[:-10])
+        code, out, err = run(capsys, "decode", str(shards), str(tmp_path / "o.bin"))
+        assert code == 2 and out == ""
+        assert err == (
+            "error: 3 shards missing, can recover at most 2; rejected "
+            f"{shard_path(shards, 0)} (header CRC failed), "
+            f"{shard_path(shards, 1)} (payload 374 bytes where 384 were expected), "
+            f"{shard_path(shards, 3)} (payload 374 bytes where 384 were expected)\n"
+        )
+
+    # Every header is rewritten alike, so no shard disagrees with another.
+    # The last case is self-consistent, but no payload holds what it implies.
+    @pytest.mark.parametrize("changes,expected", [
+        pytest.param({"lane_width": 0}, "error: {s}/shard_0.eof records ", id="lane_width-0"),
+        pytest.param({"original_length": 10**9}, "error: {s}/shard_0.eof records ",
+                     id="original_length-1000000000"),
+        pytest.param({"original_length": 10**6, "stripe_count": 2605},
+                     "error: 5 shards missing, can recover at most 2; rejected " + ", ".join(
+                         f"{{s}}/shard_{c}.eof (payload 384 bytes where 333440 were expected)"
+                         for c in range(5)) + "\n",
+                     id="original_length-1000000"),
+    ])
+    def test_inconsistent_header_is_diagnosed(self, capsys, tmp_path, rng, changes, expected):
         src = tmp_path / "file.bin"
         src.write_bytes(rng.randbytes(1000))
         shards = tmp_path / "shards"
@@ -178,10 +225,10 @@ class TestEncodeDecode:
             "--lane-width", "16", str(src), str(shards))
         for c in range(5):
             blob = shard_path(shards, c).read_bytes()
-            header = dataclasses.replace(ShardHeader.unpack(blob), **{field: value})
+            header = dataclasses.replace(ShardHeader.unpack(blob), **changes)
             shard_path(shards, c).write_bytes(header.pack() + blob[HEADER_SIZE:])
         code, out, err = run(capsys, "decode", str(shards), str(tmp_path / "o.bin"))
         assert code == 2 and out == ""
-        assert err.startswith(f"error: {shard_path(shards, 0)} records ")
+        assert err.startswith(expected.format(s=shards))
         assert err.count("\n") == 1
         assert not (tmp_path / "o.bin").exists()

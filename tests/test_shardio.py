@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import os
 import random
+import stat
 import threading
 import tracemalloc
 
@@ -359,6 +360,85 @@ class TestMalformedShards:
 
 def shard_bytes(directory):
     return [shard_path(directory, c).read_bytes() for c in range(PRM.k + 2)]
+
+
+class TestRewrite:
+    """Shards written over an existing set are the shards a fresh directory
+    gets, and a rewrite that fails leaves no shard that reads as valid."""
+
+    OLD_SIZE = PER_BATCH * STRIPE + 5000  # two batches
+
+    @pytest.mark.parametrize("new_size", [OLD_SIZE, 2 * PER_BATCH * STRIPE + 777, 3000],
+                             ids=["same", "larger", "smaller"])
+    def test_matches_a_fresh_directory(self, tmp_path, rng, new_size):
+        _, shards = encoded(tmp_path, rng, self.OLD_SIZE, lane_width=LANE)
+        src = tmp_path / "new.bin"
+        src.write_bytes(rng.randbytes(new_size))
+        shard_file(src, PRM, shards, lane_width=LANE)
+        shard_file(src, PRM, tmp_path / "fresh", lane_width=LANE)
+        assert shard_bytes(shards) == shard_bytes(tmp_path / "fresh")
+        stripes = -(-new_size // STRIPE)
+        for c in range(PRM.k + 2):
+            assert shard_path(shards, c).stat().st_size == HEADER_SIZE + stripes * PRM.rows * LANE
+        out = tmp_path / "out.bin"
+        reconstruct(shards, out)
+        assert sha(out) == sha(src)
+
+    def test_failure_at_second_batch_leaves_every_shard_rejected(self, tmp_path, rng,
+                                                                   monkeypatch):
+        _, shards = encoded(tmp_path, rng, self.OLD_SIZE, lane_width=LANE)
+        src = tmp_path / "new.bin"
+        src.write_bytes(rng.randbytes(self.OLD_SIZE))
+        calls = []
+
+        def failing_encode(arr):
+            calls.append(1)
+            if len(calls) == 2:
+                # What a process killed here leaves in its files: the
+                # first batch's payload under zeroed headers.
+                for c in range(PRM.k + 2):
+                    assert shard_path(shards, c).read_bytes()[:HEADER_SIZE] == bytes(HEADER_SIZE)
+                raise RuntimeError("injected")
+            real_encode(arr)
+
+        real_encode = shardio.encode
+        monkeypatch.setattr(shardio, "encode", failing_encode)
+        with pytest.raises(RuntimeError, match="injected"):
+            shard_file(src, PRM, shards, lane_width=LANE)
+        assert len(calls) == 2
+        out = tmp_path / "out.bin"
+        with pytest.raises(TooManyMissing, match="no readable shards found") as info:
+            reconstruct(shards, out)
+        for c in range(PRM.k + 2):
+            assert f"{shard_path(shards, c)} (header CRC failed)" in str(info.value)
+        assert not out.exists()
+
+    def test_new_shard_mode_is_that_of_a_new_file(self, tmp_path, rng):
+        old = os.umask(0o027)
+        try:
+            (tmp_path / "reference").write_bytes(b"")
+            _, shards = encoded(tmp_path, rng, 1000)
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        assert want == 0o640
+        for c in range(PRM.k + 2):
+            assert stat.S_IMODE(shard_path(shards, c).stat().st_mode) == want
+
+    def test_rewrite_keeps_an_existing_mode(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 1000)
+        shard_path(shards, 1).chmod(0o600)
+        shard_file(tmp_path / "data.bin", PRM, shards, lane_width=64)
+        assert stat.S_IMODE(shard_path(shards, 1).stat().st_mode) == 0o600
+
+    def test_removes_only_higher_shard_columns(self, tmp_path, rng):
+        src, shards = encoded(tmp_path, rng, 5000, prm=validate_params(1, 11, 7))
+        kept = ["shard_x.eof", "shard_9.eof.bak", "notes.txt"]
+        for name in kept:
+            (shards / name).write_bytes(b"kept")
+        shard_file(src, PRM, shards, lane_width=64)
+        assert sorted(path.name for path in shards.iterdir()) == sorted(
+            kept + [shard_path(shards, c).name for c in range(PRM.k + 2)])
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
