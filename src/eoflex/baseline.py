@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .codec import parity_dependents
+from . import metrics
 from .errors import PNotPrime, PTooSmall
 from .oracle import generator_matrix
 from .params import CodeParams, Regime, validate_params
@@ -36,11 +36,7 @@ def evenodd_params(p: int, k: int) -> CodeParams:
 def evenodd_update_complexity(p: int, k: int) -> Fraction:
     """Empirical average parity cells touched per information-cell write;
     equals 3 - (p+k-2)/(k(p-1)) exactly."""
-    params = evenodd_params(p, k)
-    touched = sum(
-        len(parity_dependents(params, i, j)) for i in range(params.rows) for j in range(k)
-    )
-    return Fraction(touched, k * params.rows)
+    return metrics.measure_update_complexity(evenodd_params(p, k)).empirical
 
 
 def evenodd_update_formula(p: int, k: int) -> Fraction:

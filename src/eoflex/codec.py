@@ -135,8 +135,9 @@ def update_cell(array: CodeArray, i: int, j: int, new_value: Lane) -> list[tuple
         raise ParityColumnNotUpdatable(
             f"column {j} is not an information column (k={p.k})"
         )
-    delta = xor_lanes(array.get(i, j), new_value)
-    array.set(i, j, new_value)
+    old_value = array.get(i, j)
+    array.set(i, j, new_value)  # checks the lane width before any parity cell changes
+    delta = xor_lanes(old_value, new_value)
     positions = parity_dependents(p, i, j)
     for r, c in positions:
         array.set(r, c, xor_lanes(array.get(r, c), delta))

@@ -34,10 +34,10 @@ decode converts no cell from bytes twice.  A two-information program runs
 in two stages, `build_syndromes` and the chain of `decode_two_info`; they
 and the re-encode are called through their module-level names, so a traced
 run can time each apart.  The rank check of the chain chaser happens at
-compile time, and so does the common-bit consistency check wherever its
-two sides combine the same cells (see `Builder.check`).  `decode` adds the
-XOR counts of the programs it runs to a `metrics.DecodeTally`, when given
-one.
+compile time, and so does its common-bit consistency check, which raises
+ChainStall when its two sides combine different cells (see
+`Builder.check`).  `decode` adds the XOR counts of the programs it runs to
+a `metrics.DecodeTally`, when given one.
 """
 
 from __future__ import annotations
@@ -308,8 +308,8 @@ class _PairEngine:
                 "or a full-rank one the chain rules cannot solve)"
             )
         # Recovered common bits must match their definitions.  The Builder
-        # settles the comparison at compile time when both sides combine
-        # the same cells.
+        # settles each comparison at compile time, and raises ChainStall
+        # when the two sides combine different cells.
         for s, *parts in self.links:
             if self.val[s] is not None:
                 self.b.check([self.val[key] for key in parts], self.val[s])

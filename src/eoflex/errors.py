@@ -84,7 +84,9 @@ class ChainStall(CodeError, RuntimeError):
     parameter sets instead of returning garbage.  It also fires on some
     full-rank pairs, such as (2,5,5) columns 2+4, where the chain rules
     find no way through although the pair is recoverable; `eoflex verify`
-    tells the two apart.
+    tells the two apart.  Compiling a program raises it too when a
+    consistency check's two sides combine different cells (see
+    `program.Builder.check`).
     """
 
 

@@ -23,6 +23,7 @@ decode.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -287,28 +288,20 @@ class ComplexityReport:
         return "\n".join(lines)
 
 
-def complexity_report(param_list, decode_pairs="all") -> ComplexityReport:
+def complexity_report(param_list) -> ComplexityReport:
     """Measure encode/decode/update complexity for each parameter set and
     put the closed-form values alongside.
 
-    decode_pairs: "all" for every information pair, or a list of (f, g).
-    Pairs the chain decoder stalls on are skipped and listed in the row's
-    `skipped`: the rank-deficient ones, and the full-rank ones its rules
-    find no way through (the verify command names both kinds).
+    Decode is measured for every pair of information columns.  Pairs the
+    chain decoder stalls on are skipped and listed in the row's `skipped`:
+    the rank-deficient ones, and the full-rank ones its rules find no way
+    through (the verify command names both kinds).
     """
     rows = []
     for params in param_list:
-        if decode_pairs == "all":
-            pairs = [
-                (f, g)
-                for f in range(params.k)
-                for g in range(f + 1, params.k)
-            ]
-        else:
-            pairs = list(decode_pairs)
         decode_rows = []
         skipped = []
-        for f, g in pairs:
+        for f, g in itertools.combinations(range(params.k), 2):
             try:
                 tally = count_decode_xors(params, f, g)
             except ChainStall:

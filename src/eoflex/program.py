@@ -7,14 +7,13 @@ the array cells it reads and records one instruction per XOR the rules ask
 for.  `Builder.finish` turns the recording into a `Program`, one register
 per value, and keeps the XOR count of each phase the rules ran in.  Those
 counts are the package's only XOR accounting: `metrics` and `decoder.decode`
-read them off the programs.  Their sum is the number of XORs the program
-runs, apart from the uncounted ones of a consistency check left for run
-time.
+read them off the programs.  Each counted XOR is one instruction, so their
+sum is the number of XORs the program runs.
 
-The Builder also tracks which input cells each value combines.  A
-consistency check between two sides that combine the same cells holds for
-any input, so it is settled at compile time and emits no code; only the
-others are compared when the program runs.
+The Builder also tracks which input cells each value combines, so a
+consistency check the rules ask for is settled at compile time: its two
+sides must combine the same cells, which makes them equal on any input, or
+compiling raises ChainStall.  A program compares nothing when it runs.
 
 Running a program converts each input cell to an int once, XORs ints in a
 flat loop and converts only the output cells back to bytes.  `load` takes
@@ -44,17 +43,15 @@ class Program:
     Register 0 holds zero.  `inputs` is a flat tuple of (register, row,
     column) triples, each loading one array cell, and `code` a flat tuple
     of (dst, a, b) triples, each meaning reg[dst] = reg[a] ^ reg[b];
-    stage s is code[stages[s-1]:stages[s]] (from 0 for s = 0).  Each pair
-    in `checks` must hold equal registers at the end, or the run raises
-    ChainStall.  `xors` pairs each counted phase with the XORs the rules
-    spent in it.
+    stage s is code[stages[s-1]:stages[s]] (from 0 for s = 0).  `xors`
+    pairs each phase with the XORs the rules spent in it, one per
+    instruction.
     """
 
     name: str
     inputs: tuple[int, ...]
     code: tuple[int, ...]
     stages: tuple[int, ...]
-    checks: tuple[tuple[int, int], ...]
     outputs: tuple[int, ...]
     registers: int
     xors: tuple[tuple[str, int], ...]
@@ -101,10 +98,7 @@ class Program:
             regs[dst] = regs[a] ^ regs[b]
 
     def results(self, regs: list[int], width: int) -> list[bytes]:
-        """Check the executed registers and return the output lanes."""
-        for a, b in self.checks:
-            if regs[a] != regs[b]:
-                raise ChainStall(f"{self.name}: recovered values fail a consistency check")
+        """The output lanes of the executed registers."""
         return [regs[r].to_bytes(width, "little") for r in self.outputs]
 
     def store(self, regs: list[int], array, columns) -> None:
@@ -134,12 +128,12 @@ class Builder:
 
     `get(i, j)` returns the value id of array cell (i, j), reading it as a
     program input the first time; cells of `erased` columns must be `set`
-    by the rules before they are read.  `xor` counts one XOR against the
-    current `phase` (None counts nothing) and returns the id of the result;
-    XORs with the zero value cost no instruction.  Rules build their sums
-    with `xor_values` and `xor_cells`, which start from None, the empty
-    sum, so a sum of n terms counts and emits n-1 XORs.  `end_stage` cuts
-    the code recorded so far off as a stage.
+    by the rules before they are read.  `xor` emits one instruction,
+    counts it against the current `phase` (None counts nothing) and returns
+    the id of the result.  Rules build their sums with `xor_values` and
+    `xor_cells`, which start from None, the empty sum, so a sum of n terms
+    emits n-1 XORs.  `check` settles a consistency check at compile time.
+    `end_stage` cuts the code recorded so far off as a stage.
     """
 
     def __init__(self, params, erased=frozenset()):
@@ -150,7 +144,6 @@ class Builder:
         self._inputs: dict[int, tuple[int, int]] = {}
         self._code: list[tuple[int, int, int]] = []
         self._stages: list[int] = []
-        self._checks: list[tuple[int, int]] = []
         self._counts: dict[str, int] = {}
         # _mask[v]: bit n set when input n (in order of first read) is one
         # of the cells value v is the XOR of.
@@ -173,14 +166,10 @@ class Builder:
         self._cells[(i, j)] = value
 
     def xor(self, a: int, b: int) -> int:
-        if self.phase is not None:
-            self._counts[self.phase] = self._counts.get(self.phase, 0) + 1
-        if a == ZERO:
-            return b
-        if b == ZERO:
-            return a
         value = self._new(self._mask[a] ^ self._mask[b])
         self._code.append((value, a, b))
+        if self.phase is not None:
+            self._counts[self.phase] = self._counts.get(self.phase, 0) + 1
         return value
 
     def xor_values(self, values, acc: int | None = None) -> int | None:
@@ -197,17 +186,17 @@ class Builder:
         return self.xor_values((self.get(i, j) for i, j in cells), acc)
 
     def check(self, values, target: int) -> None:
-        """Require the XOR of `values` to equal `target` when the program
-        runs.  When both sides combine the same input cells they are equal
-        on any input: the check is dropped and emits no code.  Otherwise the
-        XORs of `values` are emitted, uncounted, and compared at run time."""
+        """Require the XOR of `values` to equal `target`.  Both sides must
+        combine the same input cells, which makes them equal on any input;
+        otherwise raise ChainStall.  Emits no code."""
         mask = 0
         for value in values:
             mask ^= self._mask[value]
         if mask != self._mask[target]:
-            phase, self.phase = self.phase, None
-            self._checks.append((self.xor_values(values, ZERO), target))
-            self.phase = phase
+            raise ChainStall(
+                f"{self.params} with columns {sorted(self.erased)} erased: a "
+                "consistency check combines different cells on its two sides"
+            )
 
     def end_stage(self) -> None:
         self._stages.append(len(self._code))
@@ -219,7 +208,6 @@ class Builder:
             inputs=tuple(x for v, cell in self._inputs.items() for x in (v, *cell)),
             code=tuple(x for triple in self._code for x in triple),
             stages=tuple(3 * n for n in self._stages) + (3 * len(self._code),),
-            checks=tuple(self._checks),
             outputs=tuple(outputs),
             registers=len(self._mask),
             xors=tuple(sorted(self._counts.items())),

@@ -21,11 +21,16 @@ version it writes (VERSION); a shard of any other version is refused with
 UnsupportedVersion rather than read as if it were this one.
 
 Both directions stream the data in batches of BATCH_BYTES of source (at
-least one stripe), so memory use depends on the batch, not the file.  Each
-batch becomes one CodeArray whose every lane is that cell concatenated over
-the batch's stripes, and one call of the compiled encode or decode program
-covers the whole batch.  The input is read to its end, so it may be a
-pipe; the headers, which record its length, are written last.
+least one stripe), so memory use depends on the batch, not the file.  The
+layout is two inverse lane shuffles: `_deinterleave` deals the lanes of a
+buffer in turn into n buffers, and `_interleave` merges them back.  Dealt
+into k buffers, a batch of source gives the information shards' payload;
+dealt into tau*(p-1) buffers, a column's payload gives its cells, each lane
+that cell over all the batch's stripes.  `_batch_array` gathers a write's
+or a read's cells into one CodeArray, and one call of the compiled encode
+or decode program covers the whole batch.  The input is read to its end,
+so it may be a pipe; the headers, which record its length, are written
+last.
 
 A write rewrites existing shard files in place rather than truncating
 them, which on ext4 would free their blocks and force write-back on close.
@@ -53,14 +58,13 @@ existing output untouched.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import re
 import secrets
 import struct
 import zlib
 from contextlib import ExitStack
-from itertools import chain
-from dataclasses import dataclass
 from pathlib import Path
 
 from .codearray import CodeArray, ErasurePattern
@@ -86,7 +90,7 @@ DEFAULT_SHARD_LANE_WIDTH = 4096
 BATCH_BYTES = 2**20  # source bytes per batch; at least one stripe
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class ShardHeader:
     version: int
     tau: int
@@ -141,42 +145,33 @@ def _stripes_per_batch(params: CodeParams, lane_width: int) -> int:
     return max(1, BATCH_BYTES // (params.k * params.rows * lane_width))
 
 
-def _split(buf, lane_width: int) -> list[memoryview]:
-    """`buf` cut into lanes."""
-    view = memoryview(buf)
-    return [view[n : n + lane_width] for n in range(0, len(view), lane_width)]
-
-
-def _source_array(params: CodeParams, lane_width: int, stripes: int, data: bytes) -> CodeArray:
-    """Batch array from `stripes` stripes of source data; parity cells zero."""
-    k, rows = params.k, params.rows
-    lanes = _split(data, lane_width)  # stripe by stripe, row-major
-    zero = bytes(stripes * lane_width)
-    cells = [
-        [b"".join(lanes[i * k + j :: rows * k]) for j in range(k)] + [zero, zero]
-        for i in range(rows)
-    ]
-    return CodeArray(params, stripes * lane_width, cells)
-
-
-def _shard_array(params: CodeParams, lane_width: int, stripes: int, columns) -> CodeArray:
-    """Batch array from shard payload: `columns` maps a column to `stripes`
-    stripes of it in shard order.  Cells of other columns are zero."""
-    rows = params.rows
-    zero = bytes(stripes * lane_width)
-    cells = [[zero] * (params.k + 2) for _ in range(rows)]
-    for j, buf in columns.items():
-        lanes = _split(buf, lane_width)  # stripe by stripe, row by row
-        for i in range(rows):
-            cells[i][j] = b"".join(lanes[i::rows])
-    return CodeArray(params, stripes * lane_width, cells)
-
-
 def _interleave(buffers, lane_width: int) -> bytes:
-    """Lane 0 of every buffer in turn, then lane 1, and so on.  Turns the
-    information columns of a batch into source order, and the cells of one
-    batch array column into shard order."""
-    return b"".join(chain.from_iterable(zip(*(_split(b, lane_width) for b in buffers))))
+    """Lane 0 of every buffer in turn, then lane 1, and so on: the inverse
+    of `_deinterleave`."""
+    views = [memoryview(b) for b in buffers]
+    return b"".join(
+        [v[n : n + lane_width] for n in range(0, len(views[0]), lane_width) for v in views]
+    )
+
+
+def _deinterleave(buf, n: int, lane_width: int) -> list[bytes]:
+    """Deal the lanes of `buf` in turn into `n` buffers: lane 0 to buffer
+    0, lane 1 to buffer 1, lane n to buffer 0 again."""
+    view = memoryview(buf)
+    lanes = [view[m : m + lane_width] for m in range(0, len(view), lane_width)]
+    return [b"".join(lanes[i::n]) for i in range(n)]
+
+
+def _batch_array(params: CodeParams, lane_width: int, stripes: int, columns) -> CodeArray:
+    """Batch array of `stripes` stripes: `columns` maps a column to its
+    cells in shard order, stripe by stripe and row by row.  Cells of other
+    columns are zero."""
+    zero = bytes(stripes * lane_width)
+    cells = [[zero] * (params.k + 2) for _ in range(params.rows)]
+    for j, buf in columns.items():
+        for row, cell in zip(cells, _deinterleave(buf, params.rows, lane_width)):
+            row[j] = cell
+    return CodeArray(params, stripes * lane_width, cells)
 
 
 def _check_lane_width(lane_width: int) -> None:
@@ -243,10 +238,13 @@ def shard_file(
             length += len(data)
             stripes = -(-len(data) // stripe_bytes)
             data += bytes(stripes * stripe_bytes - len(data))  # the last stripe is padded
-            arr = _source_array(params, lane_width, stripes, data)
+            info = _deinterleave(data, k, lane_width)
+            arr = _batch_array(params, lane_width, stripes, dict(enumerate(info)))
             encode(arr)
-            for c, fh in enumerate(shards):
-                fh.write(_interleave(arr.column(c), lane_width))
+            for fh, buf in zip(shards, info):
+                fh.write(buf)
+            for c in (k, k + 1):
+                shards[c].write(_interleave(arr.column(c), lane_width))
         stripe_count = -(-length // stripe_bytes)
         for c, fh in enumerate(shards):
             fh.truncate()
@@ -284,13 +282,9 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
         except CrcFailure as exc:
             rejected.append(f"{path} ({exc})")
             continue
-        key = (header.tau, header.p, header.k, header.lane_width,
-               header.stripe_count, header.original_length)
         if reference is None:
             reference, reference_path = header, path
-        elif key != (reference.tau, reference.p, reference.k,
-                     reference.lane_width, reference.stripe_count,
-                     reference.original_length):
+        elif dataclasses.replace(header, column_index=reference.column_index) != reference:
             raise HeaderMismatch(f"{path} disagrees with other shards")
         column = header.column_index
         if column > header.k + 1:
@@ -361,7 +355,7 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
                     if len(columns[c]) != stripes * column_bytes:
                         raise HeaderMismatch(f"{shards[c].name} ended early")
                 if missing:
-                    arr = _shard_array(params, lane_width, stripes, columns)
+                    arr = _batch_array(params, lane_width, stripes, columns)
                     decode(arr, pattern)
                     for f in lost_info:
                         columns[f] = _interleave(arr.column(f), lane_width)

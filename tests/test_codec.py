@@ -164,6 +164,14 @@ class TestUpdateCell:
         assert arr == before
         assert positions  # positions are reported even for a no-op write
 
+    @pytest.mark.parametrize("lane", [b"", b"\x01\x02"])
+    def test_wrong_lane_width_rejected(self, lane):
+        arr = encode(CodeArray.zeros(PRM, 1))
+        before = arr.copy()
+        with pytest.raises(ValueError, match="lane width mismatch"):
+            update_cell(arr, 0, 0, lane)
+        assert arr == before
+
     def test_parity_column_rejected(self):
         arr = encode(CodeArray.zeros(PRM, 1))
         with pytest.raises(ParityColumnNotUpdatable):

@@ -13,13 +13,13 @@ from eoflex.decoder import decode, decoding_program, recovery_programs
 from eoflex.errors import ChainStall
 from eoflex.oracle import check_program, erasure_solver
 from eoflex.params import validate_params
-from eoflex.program import ZERO, Builder
+from eoflex.program import Builder
 
 PRM = validate_params(2, 5, 3)
 
 # SHA-256 of the repr of every program `every_program` yields for the
 # ACCEPTANCE_SETS, in order.
-PROGRAMS_SHA256 = "6e4e17f3be9c7df6cf3098eecc36e45ed5ecb4ab758319f1e4ee13f54e88a5e8"
+PROGRAMS_SHA256 = "14888f3ddf56f1673a949c5449c97d00ec1465b742b73dd3461db5b1c4f45c43"
 
 
 def lanes_of(*values):
@@ -31,14 +31,15 @@ def lanes_of(*values):
 
 
 class TestBuilder:
-    def test_counts_every_xor_but_emits_none_for_zero(self):
+    def test_one_instruction_per_counted_xor(self):
         b = Builder(PRM)
         b.phase = "reduce"
-        x = b.xor(ZERO, b.get(0, 0))
-        y = b.xor(x, b.get(0, 1))
+        x = b.xor(b.get(0, 0), b.get(0, 1))
+        b.phase = "chase"
+        y = b.xor_cells([(0, 2), (1, 0)], x)
         program = b.finish([x, y], "t")
-        assert program.xors == (("reduce", 2),)
-        assert len(program.code) == 3  # one instruction
+        assert program.xors == (("chase", 2), ("reduce", 1))
+        assert len(program.code) == 3 * 3
 
     def test_one_register_per_value(self):
         b = Builder(PRM)
@@ -51,30 +52,28 @@ class TestBuilder:
         assert program.columns == {0, 1, 2}
         assert program.run(lanes_of(b"\x01", b"\x02", b"\x04")) == [b"\x07"]
 
-    def test_failing_check_raises(self):
-        b = Builder(PRM)
-        b.check([b.get(0, 0)], b.get(0, 1))
-        program = b.finish([], "t")
-        assert program.run(lanes_of(b"\x05", b"\x05")) == []
-        with pytest.raises(ChainStall):
-            program.run(lanes_of(b"\x05", b"\x06"))
+    def test_failing_check_raises_at_compile_time(self):
+        b = Builder(PRM, {3})
+        x, y = b.get(0, 0), b.get(0, 1)
+        with pytest.raises(ChainStall, match=r"columns \[3\] erased"):
+            b.check([x, y], b.xor(x, b.get(0, 2)))
 
     def test_check_of_equal_combinations_is_settled_at_compile_time(self):
         b = Builder(PRM)
         x, y, z = b.get(0, 0), b.get(0, 1), b.get(0, 2)
         b.check([x, y, z], b.xor(x, b.xor(z, y)))
         program = b.finish([], "t")
-        assert program.checks == ()
         assert len(program.code) == 2 * 3  # the right-hand side only
 
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
     def test_pair_decode_common_bit_checks_are_settled(self, triple):
         # The chain chaser's recovered common bits combine the same cells
-        # as their definitions, so no comparison is left for run time.
+        # as their definitions, so every check is settled and compiling
+        # raises nothing.
         prm = validate_params(*triple)
         for pair in itertools.combinations(range(prm.k), 2):
             if pair not in deficient_pairs(triple):
-                assert decoding_program(prm, frozenset(pair)).checks == ()
+                decoding_program(prm, frozenset(pair))
 
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
     def test_xor_count_is_the_instruction_count(self, triple):
@@ -146,12 +145,6 @@ class TestProof:
     def test_output_stored_in_the_wrong_column_is_flagged(self):
         program = encoding_program(PRM, (PRM.k, PRM.k + 1))
         assert len(check_program(PRM, program, (PRM.k + 1, PRM.k))) == 2 * PRM.rows
-
-    def test_failing_check_is_flagged(self):
-        b = Builder(PRM)
-        b.check([b.get(0, 0)], b.get(0, 1))
-        program = b.finish([b.get(0, 0)], "t")  # cell (0,0), stored in place
-        assert check_program(PRM, program, [0]) == ["check 0"]
 
 
 @pytest.mark.parametrize("triple", [(2, 5, 3), (1, 11, 7), (3, 9, 3), (1, 7, 5), (1, 5, 3)])

@@ -99,6 +99,18 @@ class TestHeader:
             ShardHeader.unpack(raw, "x.eof")
 
 
+@pytest.mark.parametrize("lane_width", [1, 7, 4096])
+@pytest.mark.parametrize("n", [1, PRM.k, PRM.rows])
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_deinterleave_inverts_interleave(n, lane_width, rounds):
+    # n = 1 with one round is a buffer of a single lane.
+    buf = random.Random(n * lane_width + rounds).randbytes(n * rounds * lane_width)
+    parts = shardio._deinterleave(buf, n, lane_width)
+    assert [len(part) for part in parts] == [rounds * lane_width] * n
+    assert parts[-1][:lane_width] == buf[(n - 1) * lane_width : n * lane_width]
+    assert shardio._interleave(parts, lane_width) == buf
+
+
 def rewrite_version(shards, version, columns):
     """Give the shards of `columns` a header of `version` with a valid CRC."""
     for c in columns:
