@@ -6,8 +6,11 @@ with tau = 1 and its one common bit (the XOR along the diagonal ending at
 virtual row p-1) on *every* row of the diagonal-parity column, which is
 what pushes its update complexity to 3 - (p+k-2)/(k(p-1)).
 `evenodd_params` returns it as a `CodeParams`, so the package's one
-encoder, decoder and update rules serve it; it exists for complexity
-comparison.
+compiled encoder and decoder serve it; it exists for complexity
+comparison.  Its measured update complexity is
+`metrics.measure_update_complexity(evenodd_params(p, k)).empirical`, read
+off the encoder like that of any other parameter set, and equals
+`evenodd_update_formula(p, k)` exactly.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from . import metrics
 from .errors import PNotPrime, PTooSmall
 from .oracle import generator_matrix
 from .params import CodeParams, Regime, validate_params
@@ -33,12 +35,6 @@ def evenodd_params(p: int, k: int) -> CodeParams:
     return CodeParams(tau=1, p=p, k=k, t=1, n_c=p - 1, regime=regime, rows=p - 1, ring=p)
 
 
-def evenodd_update_complexity(p: int, k: int) -> Fraction:
-    """Empirical average parity cells touched per information-cell write;
-    equals 3 - (p+k-2)/(k(p-1)) exactly."""
-    return metrics.measure_update_complexity(evenodd_params(p, k)).empirical
-
-
 def evenodd_update_formula(p: int, k: int) -> Fraction:
     return 3 - Fraction(p + k - 2, k * (p - 1))
 
@@ -50,7 +46,7 @@ def tau1_equivalence_check(p: int, k: int) -> bool:
 
     Works structurally on the generator matrix: the difference between
     each diagonal-parity row's dependency set and the bare diagonal must
-    be empty above the threshold and equal to one fixed nonempty set below
+    be empty above the threshold and equal to the common bit's set below
     it.  The check is exact.
     """
     params = validate_params(1, p, k)
@@ -58,21 +54,9 @@ def tau1_equivalence_check(p: int, k: int) -> bool:
         return False
     g = generator_matrix(params)
     rows = params.rows
-    expected_common = 0
-    for j in range(1, k):
-        expected_common |= 1 << (j * rows + (rows - j))
-    threshold = params.n_c
+    common = sum(1 << (j * rows + rows - j) for j in range(1, k))
     for i in range(rows):
-        diag = 0
-        for j in range(k):
-            r = (i - j) % params.ring
-            if r < rows:
-                diag |= 1 << (j * rows + r)
-        actual = g.bits[(k + 1) * rows + i]
-        difference = actual ^ diag
-        if i < threshold:
-            if difference != expected_common or difference == 0:
-                return False
-        elif difference:
+        diag = sum(1 << (j * rows + r) for j in range(k) if (r := (i - j) % params.ring) < rows)
+        if g.bits[(k + 1) * rows + i] ^ diag != (common if i < params.n_c else 0):
             return False
     return True

@@ -74,7 +74,8 @@ def _cmd_verify(args) -> int:
 
 def _read_params_file(path: str):
     """(tau, p, k) triples from a CSV file with those columns; a line that
-    does not hold three integers raises ParamsFileError naming it."""
+    does not hold three integers, or a file with no line after its header,
+    raises ParamsFileError naming the file and the line."""
     sets = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
@@ -86,6 +87,11 @@ def _read_params_file(path: str):
                     f"{path} line {reader.line_num}: expected integer tau,p,k columns, "
                     f"got {row}"
                 ) from None
+    if not sets:
+        raise ParamsFileError(
+            f"{path} line {reader.line_num}: expected a tau,p,k header and one set "
+            f"per line after it, got header {reader.fieldnames} and no set"
+        )
     return sets
 
 

@@ -19,11 +19,16 @@ n_c rows, and virtual diagonal terms are skipped rather than XOR-ed as zero
 lanes, so the program runs exactly 2*(k-1)*tau*(p-1) - t + n_c lane XORs
 per encode.  `encode` can also fill one parity column alone, as
 a decode that lost only that parity column does.
+
+Update reads the same program: `update_positions` runs it once on
+bitmasks, which names the parity cells each information cell feeds, and
+`update_cell` XOR-patches exactly those.
 """
 
 from __future__ import annotations
 
 import functools
+from types import MappingProxyType
 
 from .codearray import CodeArray, Lane, xor_lanes
 from .errors import ParityColumnNotUpdatable
@@ -99,34 +104,34 @@ def encode(array: CodeArray, *, columns=None, values=None) -> CodeArray:
     return array
 
 
-def parity_dependents(params: CodeParams, i: int, j: int) -> list[tuple[int, int]]:
-    """Parity cells whose defining equation contains information cell (i, j).
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def update_positions(params: CodeParams) -> MappingProxyType:
+    """The parity cells each information cell (i, j) feeds, read off the
+    compiled encoder: run once with input n holding the bitmask 1 << n,
+    each output holds the mask of the input cells its equation combines.
+    Positions come column k first, then column k+1, row by row."""
+    columns = (params.k, params.k + 1)
+    program = encoding_program(params, columns)
+    regs = [0] * program.registers
+    for n, r in enumerate(program.inputs[::3]):
+        regs[r] = 1 << n
+    program.execute(regs)
+    values = program.cell_values(regs, columns)
+    outputs = [(cell, mask) for cell, mask in values.items() if cell[1] >= params.k]
+    return MappingProxyType({
+        cell: tuple(position for position, mask in outputs if mask & bit)
+        for cell, bit in values.items()
+        if cell[1] < params.k
+    })
 
-    Data independent; update_cell patches exactly these positions.  The
-    diagonal touch and the common-bit touches can never coincide: (i, j)
-    participates in a common bit only when its diagonal row i+j is virtual.
-    """
-    p = params
-    positions = [(i, p.k)]
-    diag_row = (i + j) % p.ring
-    if diag_row < p.rows:
-        positions.append((diag_row, p.k + 1))
-    else:
-        mu = diag_row - p.rows
-        if mu < p.t and mu < j:
-            # (i, j) is the column-j participant of common bit mu.
-            positions.extend(
-                (r, p.k + 1) for r in range(mu, p.n_c, p.t)
-            )
-    return positions
 
-
-def update_cell(array: CodeArray, i: int, j: int, new_value: Lane) -> list[tuple[int, int]]:
+def update_cell(array: CodeArray, i: int, j: int, new_value: Lane) -> tuple[tuple[int, int], ...]:
     """Replace information cell (i, j), XOR-patching affected parity cells.
 
-    Returns the distinct parity positions patched.  Patching a cell with
-    its current value returns the same positions and leaves the array
-    unchanged (the XOR deltas are zero).
+    Returns the distinct parity positions patched, those
+    `update_positions` names.  Patching a cell with its current value
+    returns the same positions and leaves the array unchanged (the XOR
+    deltas are zero).
     """
     p = array.params
     if not (0 <= i < p.rows):
@@ -138,7 +143,7 @@ def update_cell(array: CodeArray, i: int, j: int, new_value: Lane) -> list[tuple
     old_value = array.get(i, j)
     array.set(i, j, new_value)  # checks the lane width before any parity cell changes
     delta = xor_lanes(old_value, new_value)
-    positions = parity_dependents(p, i, j)
+    positions = update_positions(p)[(i, j)]
     for r, c in positions:
         array.set(r, c, xor_lanes(array.get(r, c), delta))
     return positions

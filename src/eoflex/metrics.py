@@ -15,9 +15,10 @@ Counting convention (matching how the costs decompose analytically):
     reproduce, while the closed form ignores virtual-row losses and is
     only an approximation.
 
-Every count is read off the compiled XOR programs (`Program.xors`), which
-hold the XORs each phase runs; no count needs an array, an encode or a
-decode.
+Every count is read off the compiled XOR programs: XORs off
+`Program.xors`, which hold the XORs each phase runs, and update positions
+off the encoder (`codec.update_positions`); no count needs an array, an
+encode or a decode.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import baseline
-from .codec import encoding_program, parity_dependents
+from .baseline import evenodd_params
+from .codec import encoding_program, update_positions
 from .decoder import decoding_program
 from .errors import ChainStall, PNotPrime, PTooSmall
 from .params import CodeParams, Regime
@@ -150,13 +151,9 @@ class UpdateComplexity:
 def measure_update_complexity(params: CodeParams) -> UpdateComplexity:
     """Average distinct parity positions touched per information-cell
     write, over all k*tau*(p-1) positions."""
-    touched = 0
-    for i in range(params.rows):
-        for j in range(params.k):
-            touched += len(parity_dependents(params, i, j))
-    empirical = Fraction(touched, params.k * params.rows)
+    touched = sum(len(positions) for positions in update_positions(params).values())
     return UpdateComplexity(
-        empirical=empirical,
+        empirical=Fraction(touched, params.k * params.rows),
         combinatorial=update_exact(params),
         closed_form=update_formula(params),
         lower_bound=update_lower_bound(params),
@@ -311,7 +308,7 @@ def complexity_report(param_list) -> ComplexityReport:
                 DecodeRow((f, g), tally.comparable, decode_xor_formula(params, f, g))
             )
         try:
-            classic = baseline.evenodd_update_complexity(params.p, params.k)
+            classic = measure_update_complexity(evenodd_params(params.p, params.k)).empirical
         except (PNotPrime, PTooSmall):
             classic = None
         rows.append(

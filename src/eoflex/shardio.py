@@ -59,6 +59,7 @@ existing output untouched.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import os
 import re
 import secrets
@@ -321,12 +322,18 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
     Missing or corrupt shards (up to two) are treated as column erasures.
     The file is rebuilt one batch of stripes at a time into a temporary
     file beside `output_path`, renamed into place after the last batch;
-    on failure the temporary file is removed.  Returns the number of bytes
-    written.
+    on failure the temporary file is removed.  An `output_path` that is a
+    directory, or whose directory does not exist, raises an OSError naming
+    it before any shard is read.  Returns the number of bytes written.
     """
+    output = Path(output_path)
+    if output.is_dir():
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(output))
+    if not output.parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(output))
     with ExitStack() as stack:
         ref, params, shards = _open_shards(directory, stack)
-        return _restore(ref, params, shards, Path(output_path))
+        return _restore(ref, params, shards, output)
 
 
 def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:

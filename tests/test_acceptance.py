@@ -27,7 +27,7 @@ import pytest
 
 from conftest import ACCEPTANCE_SETS, deficient_pairs
 from eoflex.baseline import (
-    evenodd_update_complexity,
+    evenodd_params,
     evenodd_update_formula,
     tau1_equivalence_check,
 )
@@ -226,7 +226,7 @@ def test_criterion_6_single_repetition_reduction(p, k):
 
 
 def test_criterion_7_classic_baseline():
-    measured = evenodd_update_complexity(5, 3)
+    measured = measure_update_complexity(evenodd_params(5, 3)).empirical
     assert abs(measured - Fraction(5, 2)) <= Fraction(5, 100)
     assert measured == evenodd_update_formula(5, 3)
     improved = []

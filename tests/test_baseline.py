@@ -4,13 +4,13 @@ import pytest
 
 from eoflex.baseline import (
     evenodd_params,
-    evenodd_update_complexity,
     evenodd_update_formula,
     tau1_equivalence_check,
 )
 from eoflex.codearray import CodeArray
 from eoflex.codec import encode, encoding_program
 from eoflex.errors import PNotPrime, PTooSmall
+from eoflex.metrics import measure_update_complexity
 
 
 def evenodd_encode(grid, p, k):
@@ -57,13 +57,17 @@ class TestClassicEncoder:
             evenodd_params(3, 5)
 
 
+def classic_update(p, k):
+    return measure_update_complexity(evenodd_params(p, k)).empirical
+
+
 class TestClassicUpdateComplexity:
     def test_example_value(self):
-        assert evenodd_update_complexity(5, 3) == Fraction(5, 2)
+        assert classic_update(5, 3) == Fraction(5, 2)
 
     @pytest.mark.parametrize("p,k", [(5, 3), (7, 4), (7, 5), (11, 7), (13, 4)])
     def test_matches_formula_exactly(self, p, k):
-        assert evenodd_update_complexity(p, k) == evenodd_update_formula(p, k)
+        assert classic_update(p, k) == evenodd_update_formula(p, k)
 
 
 class TestTau1Reduction:

@@ -76,7 +76,9 @@ class TestBench:
         "t,p,k\n2,5,3\n",
         "tau,p,k\n2,5,3\nx,5,3\n",
         "tau,p,k\n2,5,3\n2,5\n",
-    ], ids=["no-tau-column", "not-an-integer", "short-row"])
+        "1,5,3\n",
+        "tau,p,k\n",
+    ], ids=["no-tau-column", "not-an-integer", "short-row", "no-header", "no-set"])
     def test_malformed_params_file_is_diagnosed(self, capsys, tmp_path, text):
         pfile = tmp_path / "params.csv"
         pfile.write_text(text)
@@ -183,6 +185,24 @@ class TestEncodeDecode:
         assert (code, err) == (0, "")
         assert out_file.read_bytes() == narrow.read_bytes()
         assert not shard_path(shards, 5).exists()
+
+    @pytest.mark.parametrize("where", ["missing-directory", "is-a-directory"])
+    def test_unwritable_output_is_named(self, capsys, tmp_path, rng, where):
+        src = tmp_path / "file.bin"
+        src.write_bytes(rng.randbytes(1000))
+        shards = tmp_path / "shards"
+        run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+            "--lane-width", "16", str(src), str(shards))
+        if where == "missing-directory":
+            out_file = tmp_path / "nodir" / "o.bin"
+        else:
+            out_file = tmp_path / "outdir"
+            out_file.mkdir()
+        code, out, err = run(capsys, "decode", str(shards), str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(str(out_file)) in err and ".tmp" not in err
+        assert not list(tmp_path.rglob("*.tmp"))
 
     def test_rejected_shards_are_named(self, capsys, tmp_path, rng):
         src = tmp_path / "file.bin"

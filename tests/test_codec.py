@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import pytest
 
 from conftest import ACCEPTANCE_SETS, evaluate
+from eoflex.baseline import evenodd_params
 from eoflex.codearray import CodeArray, xor_lanes, zero_lane
 from eoflex.codec import (
     common_bit_participants,
@@ -10,6 +12,7 @@ from eoflex.codec import (
     encode,
     encoding_program,
     update_cell,
+    update_positions,
 )
 from eoflex.errors import ParityColumnNotUpdatable
 from eoflex.params import validate_params
@@ -17,6 +20,12 @@ from eoflex.params import validate_params
 PRM = validate_params(2, 5, 3)
 ONE = b"\x01"
 ZERO = b"\x00"
+
+# SHA-256 of the update positions of every information cell of
+# ACCEPTANCE_SETS and classic EVENODD (5,3), (7,4), (7,5) and (11,7), as
+# `TestUpdatePositions` hashes them; recorded from the rule-by-rule inverse
+# of the parity equations that `update_positions` replaced.
+UPDATE_POSITIONS_SHA256 = "48a21768c4dcee60a31f40db15bc71216c48bb13c27b510d27aa2fcd0888d3d2"
 
 
 def unit_array(prm, i, j, width=1):
@@ -144,6 +153,19 @@ class TestEncode:
             encode(arr)
             for i in range(prm.n_c, prm.rows):
                 assert arr.get(i, prm.k + 1) == ZERO, (triple, i)
+
+
+class TestUpdatePositions:
+    def test_golden_digest(self):
+        sets = [validate_params(*t) for t in ACCEPTANCE_SETS]
+        sets += [evenodd_params(p, k) for p, k in [(5, 3), (7, 4), (7, 5), (11, 7)]]
+        h = hashlib.sha256()
+        for prm in sets:
+            positions = update_positions(prm)
+            for i in range(prm.rows):
+                for j in range(prm.k):
+                    h.update(repr((prm.tau, prm.p, prm.k, prm.n_c, i, j, positions[(i, j)])).encode())
+        assert h.hexdigest() == UPDATE_POSITIONS_SHA256
 
 
 class TestUpdateCell:
