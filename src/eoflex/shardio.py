@@ -21,16 +21,16 @@ version it writes (VERSION); a shard of any other version is refused with
 UnsupportedVersion rather than read as if it were this one.
 
 Both directions stream the data in batches of BATCH_BYTES of source (at
-least one stripe), so memory use depends on the batch, not the file.  The
-layout is two inverse lane shuffles: `_deinterleave` deals the lanes of a
-buffer in turn into n buffers, and `_interleave` merges them back.  Dealt
-into k buffers, a batch of source gives the information shards' payload;
-dealt into tau*(p-1) buffers, a column's payload gives its cells, each lane
-that cell over all the batch's stripes.  `_batch_array` gathers a write's
-or a read's cells into one CodeArray, and one call of the compiled encode
-or decode program covers the whole batch.  The input is read to its end,
-so it may be a pipe; the headers, which record its length, are written
-last.
+least one stripe), and of at most BATCH_LANES lanes, so memory use depends
+on the batch, not on the file or the lane width.  A write's layout is two
+inverse lane shuffles: `_deinterleave` deals the lanes of a buffer in turn
+into n buffers, and `_interleave` merges them back.  Dealt into k buffers,
+a batch of source gives the information shards' payload; dealt into
+tau*(p-1) buffers, a column's payload gives its cells, each lane that cell
+over all the batch's stripes.  `_batch_array` gathers a write's or a read's
+cells into one CodeArray, and one call of the compiled encode or decode
+program covers the whole batch.  The input is read to its end, so it may be
+a pipe; the headers, which record its length, are written last.
 
 A write rewrites existing shard files in place rather than truncating
 them, which on ext4 would free their blocks and force write-back on close.
@@ -46,20 +46,25 @@ only the header has a CRC a read can then return wrong bytes without an
 error.  Shards shard_<c>.eof with c >= k+2, left by an earlier set with
 more columns, are removed.
 
-A read loads the surviving information shards and, only when an
-information column is lost, the parity shards its decode program reads.
-When a column is lost, the needed shards of a batch are gathered into one
-batch array, and `decode` converts each cell of it to an int at most once
-(see `decoder`) and restores the lost columns; the read keeps the
-information columns.  The output is written to a temporary file beside it
-and renamed into place after the last batch, so a failed read leaves an
-existing output untouched.
+A read reuses one output buffer for every batch, and reads each
+surviving information shard straight into that column's lanes of it with
+`os.readv`, so the kernel does the shuffle and a read with every
+information column present only moves bytes.  Only when a column is lost
+are the parity shards its decode program reads loaded too: the decode
+gathers the information cells from the buffer's lanes and the parity
+cells with `_deinterleave`, `decode` converts each cell to an int at most
+once (see `decoder`) and restores the lost columns, and each recovered
+information column is copied into its lanes.
+The output is written to a temporary file beside it and renamed into
+place after the last batch, so a failed read leaves an existing output
+untouched.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import errno
+import io
 import os
 import re
 import secrets
@@ -89,6 +94,8 @@ MAX_LANE_WIDTH = 2**32 - 1  # the header stores it as a u32
 
 DEFAULT_SHARD_LANE_WIDTH = 4096
 BATCH_BYTES = 2**20  # source bytes per batch; at least one stripe
+BATCH_LANES = 4096  # lanes (k * rows * stripes) per batch at most; at least one stripe
+IOV_MAX = 1024  # buffers per os.readv call: the limit on Linux, macOS and the BSDs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -143,7 +150,11 @@ def shard_path(directory: str | os.PathLike, column: int) -> Path:
 
 
 def _stripes_per_batch(params: CodeParams, lane_width: int) -> int:
-    return max(1, BATCH_BYTES // (params.k * params.rows * lane_width))
+    """Stripes of one batch: BATCH_BYTES of source, but no more than
+    BATCH_LANES lanes, so that narrow lanes do not multiply the per-lane
+    objects a batch builds; at least one stripe."""
+    lanes = params.k * params.rows
+    return max(1, min(BATCH_BYTES // (lanes * lane_width), BATCH_LANES // lanes))
 
 
 def _interleave(buffers, lane_width: int) -> bytes:
@@ -155,22 +166,26 @@ def _interleave(buffers, lane_width: int) -> bytes:
     )
 
 
-def _deinterleave(buf, n: int, lane_width: int) -> list[bytes]:
-    """Deal the lanes of `buf` in turn into `n` buffers: lane 0 to buffer
-    0, lane 1 to buffer 1, lane n to buffer 0 again."""
-    view = memoryview(buf)
-    lanes = [view[m : m + lane_width] for m in range(0, len(view), lane_width)]
+def _deal(lanes, n: int) -> list[bytes]:
+    """Deal `lanes` in turn into `n` buffers: lane 0 to buffer 0, lane 1
+    to buffer 1, lane n to buffer 0 again."""
     return [b"".join(lanes[i::n]) for i in range(n)]
+
+
+def _deinterleave(buf, n: int, lane_width: int) -> list[bytes]:
+    """Deal the lanes of `buf` in turn into `n` buffers (see `_deal`)."""
+    view = memoryview(buf)
+    return _deal([view[m : m + lane_width] for m in range(0, len(view), lane_width)], n)
 
 
 def _batch_array(params: CodeParams, lane_width: int, stripes: int, columns) -> CodeArray:
     """Batch array of `stripes` stripes: `columns` maps a column to its
-    cells in shard order, stripe by stripe and row by row.  Cells of other
-    columns are zero."""
+    cells row by row, each that cell over all `stripes` stripes.  Cells of
+    other columns are zero."""
     zero = bytes(stripes * lane_width)
     cells = [[zero] * (params.k + 2) for _ in range(params.rows)]
-    for j, buf in columns.items():
-        for row, cell in zip(cells, _deinterleave(buf, params.rows, lane_width)):
+    for j, column in columns.items():
+        for row, cell in zip(cells, column):
             row[j] = cell
     return CodeArray(params, stripes * lane_width, cells)
 
@@ -240,7 +255,9 @@ def shard_file(
             stripes = -(-len(data) // stripe_bytes)
             data += bytes(stripes * stripe_bytes - len(data))  # the last stripe is padded
             info = _deinterleave(data, k, lane_width)
-            arr = _batch_array(params, lane_width, stripes, dict(enumerate(info)))
+            arr = _batch_array(params, lane_width, stripes,
+                               {j: _deinterleave(buf, params.rows, lane_width)
+                                for j, buf in enumerate(info)})
             encode(arr)
             for fh, buf in zip(shards, info):
                 fh.write(buf)
@@ -264,11 +281,11 @@ def _too_many_missing(message: str, rejected: list[str]) -> TooManyMissing:
 
 def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     """Open the usable shards on `stack`: returns (reference header,
-    params, column -> file positioned at its payload).  A file whose header
-    fails its CRC, or whose payload length is not what the header implies,
-    counts as missing (an erasure of that column); if more than two columns
-    are missing, TooManyMissing names each such file and why it was
-    rejected.  A header of another format version raises
+    params, column -> unbuffered file positioned at its payload).  A file
+    whose header fails its CRC, or whose payload length is not what the
+    header implies, counts as missing (an erasure of that column); if more
+    than two columns are missing, TooManyMissing names each such file and
+    why it was rejected.  A header of another format version raises
     UnsupportedVersion.  Headers that disagree, a column index above k+1,
     two shards of one column, a lane width of 0 and a stripe count that
     does not fit the original length raise HeaderMismatch."""
@@ -277,7 +294,7 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     reference: ShardHeader | None = None
     reference_path = None
     for path in sorted(Path(directory).glob("shard_*.eof")):
-        fh = stack.enter_context(open(path, "rb"))
+        fh = stack.enter_context(open(path, "rb", buffering=0))
         try:
             header = ShardHeader.unpack(fh.read(HEADER_SIZE), str(path))
         except CrcFailure as exc:
@@ -336,39 +353,80 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
         return _restore(ref, params, shards, output)
 
 
+def _read_into(fh, views, width: int) -> None:
+    """Fill `views`, each `width` bytes, in order from the position of the
+    unbuffered file `fh`: one os.readv per IOV_MAX views, or readinto per
+    view where os.readv is missing.  A short read is finished view by view;
+    if the file ends first, HeaderMismatch names it."""
+    readv = getattr(os, "readv", None)
+    for start in range(0, len(views), IOV_MAX):
+        chunk = views[start : start + IOV_MAX]
+        done = readv(fh.fileno(), chunk) if readv else 0
+        if done == len(chunk) * width:
+            continue
+        full, offset = divmod(done, width)
+        for view in chunk[full:]:
+            view, offset = view[offset:], 0
+            while view:
+                if not (n := fh.readinto(view)):
+                    raise HeaderMismatch(f"{fh.name} ended early")
+                view = view[n:]
+
+
 def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
-    """Stream the original file out of the open `shards` into `output`."""
-    k = params.k
+    """Stream the original file out of the open `shards` into `output`.
+
+    One output buffer, sized to the file's largest batch, serves every
+    batch, and the views of each information column's lanes in it are
+    built once.  Each surviving information shard is read straight into
+    its lanes (`_read_into`).  When a column is lost, the decode gathers
+    the information cells from those lanes and the parity cells it needs
+    from reused buffers, and each recovered information column is copied
+    into its lanes.  The buffer, cut at the original length, is written
+    with one call per batch."""
+    k, rows, lane_width = params.k, params.rows, ref.lane_width
     missing = [c for c in range(k + 2) if c not in shards]
     pattern = ErasurePattern(frozenset(missing))
     lost_info = [c for c in missing if c < k]
-    needed = set(range(k)) - pattern.erased
+    info = [c for c in range(k) if c in shards]
+    parity = []
     if lost_info:
-        needed |= decoding_program(params, pattern.erased).columns
+        parity = sorted(decoding_program(params, pattern.erased).columns - set(range(k)))
 
-    lane_width = ref.lane_width
-    column_bytes = params.rows * lane_width  # one column of one stripe
-    per_batch = _stripes_per_batch(params, lane_width)
+    per_batch = min(_stripes_per_batch(params, lane_width), ref.stripe_count)
+    buf = memoryview(bytearray(per_batch * k * rows * lane_width))
+    lanes = [[buf[n : n + lane_width] for n in range(c * lane_width, len(buf), k * lane_width)]
+             for c in range(k)]  # column c's lanes, stripe by stripe and row by row
+    parity_bufs = {c: memoryview(bytearray(per_batch * rows * lane_width)) for c in parity}
     temp = output.parent / f".{output.name}.{secrets.token_hex(4)}.tmp"
     left = ref.original_length
     out = open(temp, "xb")
     try:
         with out:
-            for first in range(0, ref.stripe_count, per_batch):
-                stripes = min(per_batch, ref.stripe_count - first)
-                columns = {}
-                for c in needed:
-                    columns[c] = shards[c].read(stripes * column_bytes)
-                    if len(columns[c]) != stripes * column_bytes:
-                        raise HeaderMismatch(f"{shards[c].name} ended early")
+            for first in range(0, ref.stripe_count, per_batch or 1):
+                n = min(per_batch, ref.stripe_count - first) * rows  # lanes per column
+                for c in info:
+                    _read_into(shards[c], lanes[c][:n], lane_width)
                 if missing:
-                    arr = _batch_array(params, lane_width, stripes, columns)
+                    cells = {c: _deal(lanes[c][:n], rows) for c in info}
+                    for c in parity:
+                        view = parity_bufs[c][: n * lane_width]
+                        _read_into(shards[c], [view], len(view))
+                        cells[c] = _deinterleave(view, rows, lane_width)
+                    arr = _batch_array(params, lane_width, n // rows, cells)
                     decode(arr, pattern)
+                    # Row by row, in lists small enough for Python's own
+                    # allocator: a list of all of a column's lanes would come
+                    # from glibc, whose heap then gets trimmed and regrown by
+                    # the next batch's decode, a page fault per page.
                     for f in lost_info:
-                        columns[f] = _interleave(arr.column(f), lane_width)
-                data = _interleave([columns[j] for j in range(k)], lane_width)
-                out.write(data[:left])
-                left -= min(left, len(data))
+                        for r, cell in enumerate(arr.column(f)):
+                            readinto = io.BytesIO(cell).readinto
+                            for lane in lanes[f][r:n:rows]:
+                                readinto(lane)
+                size = min(left, n * k * lane_width)
+                out.write(buf[:size])
+                left -= size
         os.replace(temp, output)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -67,6 +67,10 @@ def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def shard_bytes(directory):
+    return [shard_path(directory, c).read_bytes() for c in range(PRM.k + 2)]
+
+
 def encoded(tmp_path, rng, size, prm=PRM, lane_width=64):
     """Shard `size` random bytes; return (source, shard dir)."""
     src = tmp_path / "data.bin"
@@ -209,25 +213,30 @@ class TestRoundTrip:
         assert sha(out) == sha(src)
 
 
-def test_wide_roundtrip_all_pairs(tmp_path):
-    # A larger file through every two-shard loss pattern.
-    rng = random.Random(20240817)
-    src = tmp_path / "big.bin"
-    src.write_bytes(rng.randbytes(2 * 1024 * 1024 + 311))
-    shards = tmp_path / "shards"
-    shard_file(src, PRM, shards, lane_width=4096)
-    want = sha(src)
-    blobs = {c: shard_path(shards, c).read_bytes() for c in range(5)}
-    for c1, c2 in itertools.combinations(range(5), 2):
-        for c in range(5):
-            path = shard_path(shards, c)
-            if c in (c1, c2):
-                path.unlink(missing_ok=True)
+# Nothing lost, every single column and every pair of columns.
+EVERY_LOSS = [()] + [(c,) for c in range(PRM.k + 2)] + list(
+    itertools.combinations(range(PRM.k + 2), 2))
+
+
+def roundtrip_every_loss(tmp_path, src, shards):
+    """Read `shards` back byte-exact under every loss in EVERY_LOSS."""
+    blobs = shard_bytes(shards)
+    for lost in EVERY_LOSS:
+        for c, blob in enumerate(blobs):
+            if c in lost:
+                shard_path(shards, c).unlink(missing_ok=True)
             else:
-                path.write_bytes(blobs[c])
+                shard_path(shards, c).write_bytes(blob)
         out = tmp_path / "out.bin"
-        reconstruct(shards, out)
-        assert sha(out) == want, (c1, c2)
+        assert reconstruct(shards, out) == src.stat().st_size
+        assert sha(out) == sha(src), lost
+
+
+def test_wide_roundtrip_all_pairs(tmp_path):
+    # A larger file through every loss pattern.
+    src, shards = encoded(tmp_path, random.Random(20240817), 2 * 1024 * 1024 + 311,
+                          lane_width=LANE)
+    roundtrip_every_loss(tmp_path, src, shards)
 
 
 @pytest.mark.parametrize("triple", sorted(GOLDEN))
@@ -243,16 +252,40 @@ def test_shards_match_golden_digests(tmp_path, triple):
 def test_batch_edges_roundtrip_all_pairs(tmp_path, stripes):
     rng = random.Random(stripes)
     src, shards = encoded(tmp_path, rng, max(0, stripes * STRIPE - 100), lane_width=LANE)
-    blobs = {c: shard_path(shards, c).read_bytes() for c in range(5)}
-    for lost in itertools.combinations(range(5), 2):
-        for c in range(5):
-            if c in lost:
-                shard_path(shards, c).unlink(missing_ok=True)
-            else:
-                shard_path(shards, c).write_bytes(blobs[c])
-        out = tmp_path / "out.bin"
-        assert reconstruct(shards, out) == src.stat().st_size
-        assert sha(out) == sha(src), lost
+    roundtrip_every_loss(tmp_path, src, shards)
+
+
+@pytest.mark.parametrize("readv", [True, False], ids=["readv", "readinto"])
+@pytest.mark.parametrize("lane_width", [1, 3, 8])
+def test_narrow_lanes_roundtrip_every_loss(tmp_path, monkeypatch, lane_width, readv):
+    # One column's lanes in a batch outnumber IOV_MAX, and the last of the
+    # three batches is short.
+    per_batch = shardio._stripes_per_batch(PRM, lane_width)
+    assert per_batch * PRM.rows > shardio.IOV_MAX
+    if not readv:
+        monkeypatch.delattr(os, "readv", raising=False)
+    size = (5 * per_batch // 2) * PRM.k * PRM.rows * lane_width - 7
+    src, shards = encoded(tmp_path, random.Random(lane_width), size, lane_width=lane_width)
+    roundtrip_every_loss(tmp_path, src, shards)
+
+
+@pytest.mark.parametrize("size", [0, 1, PRM.k * PRM.rows * 64 - 1])
+def test_files_within_one_stripe_roundtrip_every_loss(tmp_path, size):
+    src, shards = encoded(tmp_path, random.Random(size), size)
+    roundtrip_every_loss(tmp_path, src, shards)
+
+
+@pytest.mark.skipif(not hasattr(os, "readv"), reason="needs os.readv")
+def test_short_readv_is_finished(tmp_path, rng, monkeypatch):
+    real_readv = os.readv
+
+    def short_readv(fd, buffers):
+        """At most 5 bytes, into the first buffer only."""
+        return real_readv(fd, [memoryview(buffers[0])[:5]])
+
+    src, shards = encoded(tmp_path, rng, 10_000, lane_width=16)
+    monkeypatch.setattr(os, "readv", short_readv)
+    roundtrip_every_loss(tmp_path, src, shards)
 
 
 def peak_bytes(tmp_path, batches):
@@ -282,16 +315,42 @@ def test_memory_does_not_grow_with_file_size(tmp_path):
     assert peak_bytes(tmp_path, 16) <= 1.25 * small
 
 
+def test_memory_does_not_grow_as_lanes_narrow(tmp_path):
+    # Without a cap on the lanes of a batch, a batch at lane width 1 builds
+    # a million one-byte lanes.
+    src = tmp_path / "src"
+    src.write_bytes(random.Random(1).randbytes(300_000))
+    _, warm = encoded(tmp_path, random.Random(2), 1000)  # compile the programs untraced
+    shard_path(warm, 1).unlink()
+    reconstruct(warm, tmp_path / "warm")
+
+    def peak(lane_width):
+        shards = tmp_path / f"shards{lane_width}"
+        out = tmp_path / f"out{lane_width}"
+        tracemalloc.start()
+        try:
+            shard_file(src, PRM, shards, lane_width=lane_width)
+            shard_path(shards, 1).unlink()
+            reconstruct(shards, out)
+            result = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sha(out) == sha(src)
+        return result
+
+    assert peak(1) <= 2 * peak(4096)
+
+
 class TestFailedRead:
     """A failed decode leaves an existing output as it was and no
     temporary file beside it."""
 
-    def check(self, tmp_path, shards, error):
+    def check(self, tmp_path, shards, error, match=None):
         outdir = tmp_path / "outdir"
         outdir.mkdir()
         out = outdir / "out.bin"
         out.write_bytes(b"previous contents")
-        with pytest.raises(error):
+        with pytest.raises(error, match=match):
             reconstruct(shards, out)
         assert out.read_bytes() == b"previous contents"
         assert list(outdir.iterdir()) == [out]
@@ -326,6 +385,23 @@ class TestFailedRead:
         monkeypatch.setattr(shardio, "decode", failing_decode)
         self.check(tmp_path, shards, ChainStall)
         assert len(calls) == 2
+
+    @pytest.mark.parametrize("lost, short", [((), 1), ((0, 4), 3)],
+                             ids=["information", "parity"])
+    def test_shard_ended_early(self, tmp_path, rng, monkeypatch, lost, short):
+        # The shard shrinks after its size was checked, in the last batch.
+        _, shards = encoded(tmp_path, rng, 3 * PER_BATCH * STRIPE, lane_width=LANE)
+        for c in lost:
+            shard_path(shards, c).unlink()
+        real_open_shards = shardio._open_shards
+
+        def open_then_shrink(directory, stack):
+            opened = real_open_shards(directory, stack)
+            os.truncate(shard_path(shards, short), shard_path(shards, short).stat().st_size - 10)
+            return opened
+
+        monkeypatch.setattr(shardio, "_open_shards", open_then_shrink)
+        self.check(tmp_path, shards, HeaderMismatch, match=rf"shard_{short}\.eof ended early")
 
 
 class TestMalformedShards:
@@ -368,10 +444,6 @@ class TestMalformedShards:
         shard_path(shards, 7).write_bytes(shard_path(shards, 2).read_bytes())
         with pytest.raises(HeaderMismatch, match="column 2"):
             reconstruct(shards, tmp_path / "out.bin")
-
-
-def shard_bytes(directory):
-    return [shard_path(directory, c).read_bytes() for c in range(PRM.k + 2)]
 
 
 class TestRewrite:
