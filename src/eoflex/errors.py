@@ -37,7 +37,8 @@ class CommonRowsExceedArray(ParameterError):
 
 
 class LaneWidthOutOfRange(ParameterError):
-    """A shard lane width below 1 or above the header's u32 field."""
+    """A shard lane width below 1 or above the header's u32 field, or one
+    whose batch buffer this process cannot allocate."""
 
 
 class UndecodablePairs(ParameterError):

@@ -22,15 +22,18 @@ UnsupportedVersion rather than read as if it were this one.
 
 Both directions stream the data in batches of BATCH_BYTES of source (at
 least one stripe), and of at most BATCH_LANES lanes, so memory use depends
-on the batch, not on the file or the lane width.  A write's layout is two
-inverse lane shuffles: `_deinterleave` deals the lanes of a buffer in turn
-into n buffers, and `_interleave` merges them back.  Dealt into k buffers,
-a batch of source gives the information shards' payload; dealt into
-tau*(p-1) buffers, a column's payload gives its cells, each lane that cell
-over all the batch's stripes.  `_batch_array` gathers a write's or a read's
-cells into one CodeArray, and one call of the compiled encode or decode
-program covers the whole batch.  The input is read to its end, so it may be
-a pipe; the headers, which record its length, are written last.
+on the batch, not on the file or the lane width.  Neither direction
+shuffles lanes in user space: the kernel does it, by scatter-gather I/O
+through lists of views (`_lanes`), at most IOV_MAX per call.  A write
+reuses one cell-major buffer for every batch, in which each information
+cell over all the batch's stripes is one contiguous slice.  The source is
+read with `os.readv` straight into the cells, lane by lane in its own
+order; the compiled encode program runs once on the whole batch
+(`_batch_array` gathers its cells into one CodeArray); and each shard is
+written with `os.writev`, the information shards from views of the cells
+and the parity shards from views of the encoder's output.  The input is
+read to its end, so it may be a pipe; the headers, which record its
+length, are written last.
 
 A write rewrites existing shard files in place rather than truncating
 them, which on ext4 would free their blocks and force write-back on close.
@@ -48,12 +51,12 @@ more columns, are removed.
 
 A read reuses one output buffer for every batch, and reads each
 surviving information shard straight into that column's lanes of it with
-`os.readv`, so the kernel does the shuffle and a read with every
-information column present only moves bytes.  Only when a column is lost
-are the parity shards its decode program reads loaded too: the decode
-gathers the information cells from the buffer's lanes and the parity
-cells with `_deinterleave`, `decode` converts each cell to an int at most
-once (see `decoder`) and restores the lost columns, and each recovered
+`os.readv`, so a read with every information column present only moves
+bytes.  Only when a column is lost are the parity shards its decode
+program reads loaded too, each the same way into the cells of a reused
+cell-major buffer: the decode gathers the information cells from the
+output buffer's lanes, `decode` converts each cell to an int at most once
+(see `decoder`) and restores the lost columns, and each recovered
 information column is copied into its lanes.
 The output is written to a temporary file beside it and renamed into
 place after the last batch, so a failed read leaves an existing output
@@ -68,6 +71,7 @@ import io
 import os
 import re
 import secrets
+import stat
 import struct
 import zlib
 from contextlib import ExitStack
@@ -95,7 +99,7 @@ MAX_LANE_WIDTH = 2**32 - 1  # the header stores it as a u32
 DEFAULT_SHARD_LANE_WIDTH = 4096
 BATCH_BYTES = 2**20  # source bytes per batch; at least one stripe
 BATCH_LANES = 4096  # lanes (k * rows * stripes) per batch at most; at least one stripe
-IOV_MAX = 1024  # buffers per os.readv call: the limit on Linux, macOS and the BSDs
+IOV_MAX = 1024  # views per os.readv or os.writev call: the limit on Linux, macOS and the BSDs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -157,13 +161,13 @@ def _stripes_per_batch(params: CodeParams, lane_width: int) -> int:
     return max(1, min(BATCH_BYTES // (lanes * lane_width), BATCH_LANES // lanes))
 
 
-def _interleave(buffers, lane_width: int) -> bytes:
-    """Lane 0 of every buffer in turn, then lane 1, and so on: the inverse
-    of `_deinterleave`."""
-    views = [memoryview(b) for b in buffers]
-    return b"".join(
-        [v[n : n + lane_width] for n in range(0, len(views[0]), lane_width) for v in views]
-    )
+def _lanes(cells, lane_width: int) -> list[memoryview]:
+    """Views of the lanes of `cells`, buffers of equal length, stripe by
+    stripe: lane 0 of every cell in turn, then lane 1, and so on.  Read or
+    written in this order, the views put a shard's or the source's bytes
+    into the cells, or take them out, with no copy in between."""
+    views = [memoryview(cell) for cell in cells]
+    return [v[n : n + lane_width] for n in range(0, len(views[0]), lane_width) for v in views]
 
 
 def _deal(lanes, n: int) -> list[bytes]:
@@ -172,22 +176,18 @@ def _deal(lanes, n: int) -> list[bytes]:
     return [b"".join(lanes[i::n]) for i in range(n)]
 
 
-def _deinterleave(buf, n: int, lane_width: int) -> list[bytes]:
-    """Deal the lanes of `buf` in turn into `n` buffers (see `_deal`)."""
-    view = memoryview(buf)
-    return _deal([view[m : m + lane_width] for m in range(0, len(view), lane_width)], n)
-
-
 def _batch_array(params: CodeParams, lane_width: int, stripes: int, columns) -> CodeArray:
     """Batch array of `stripes` stripes: `columns` maps a column to its
-    cells row by row, each that cell over all `stripes` stripes.  Cells of
-    other columns are zero."""
-    zero = bytes(stripes * lane_width)
+    cells row by row, each that cell over at least `stripes` stripes, of
+    which the first `stripes` lanes are taken.  Cells of other columns are
+    zero."""
+    width = stripes * lane_width
+    zero = bytes(width)
     cells = [[zero] * (params.k + 2) for _ in range(params.rows)]
     for j, column in columns.items():
         for row, cell in zip(cells, column):
-            row[j] = cell
-    return CodeArray(params, stripes * lane_width, cells)
+            row[j] = cell[:width]
+    return CodeArray(params, width, cells)
 
 
 def _check_lane_width(lane_width: int) -> None:
@@ -197,14 +197,57 @@ def _check_lane_width(lane_width: int) -> None:
         )
 
 
-def _read_batch(src, size: int):
-    """Up to `size` bytes of `src`; fewer only at the end of the input."""
-    data = src.read(size)
-    if 0 < len(data) < size:
-        data = bytearray(data)
-        while len(data) < size and (more := src.read(size - len(data))):
-            data += more
-    return data
+def _cell_buffer(cells: int, width: int, lane_width: int) -> list[memoryview]:
+    """`cells` zeroed cells of `width` bytes, one after the other in one new
+    buffer.  A buffer this process cannot allocate, which only a huge
+    `lane_width` asks for, raises LaneWidthOutOfRange."""
+    try:
+        buf = memoryview(bytearray(cells * width))
+    except MemoryError:
+        raise LaneWidthOutOfRange(
+            f"lane width {lane_width} needs a batch buffer of {cells * width} bytes, "
+            "more than this process can allocate"
+        ) from None
+    return [buf[i * width : (i + 1) * width] for i in range(cells)]
+
+
+def _vectored(move, views, width: int, step: int) -> int:
+    """Move the bytes of `views`, each `width` bytes, in order: each call of
+    `move` gets up to `step` views, the first cut where the last call
+    stopped, and returns the bytes it moved.  Stops early when a call
+    moves nothing; returns the bytes moved."""
+    i = offset = done = 0
+    while i < len(views):
+        if not (n := move([views[i][offset:], *views[i + 1 : i + step]])):
+            break
+        done += n
+        full, offset = divmod(offset + n, width)
+        i += full
+    return done
+
+
+def _fill(fh, views, width: int) -> int:
+    """Read the unbuffered file `fh` from its position into `views`, each
+    `width` bytes, in order: one os.readv per IOV_MAX views, or readinto
+    per view where os.readv is missing.  Short reads, as from a pipe, are
+    finished.  Returns the bytes read, which fall short of the views only
+    at the end of the file."""
+    if readv := getattr(os, "readv", None):
+        fd = fh.fileno()
+        return _vectored(lambda chunk: readv(fd, chunk), views, width, IOV_MAX)
+    return _vectored(lambda chunk: fh.readinto(chunk[0]), views, width, 1)
+
+
+def _write_all(fd: int, views, width: int) -> None:
+    """Write `views`, each `width` bytes, in order to the raw file `fd`: one
+    os.writev per IOV_MAX views, or os.write per view where os.writev is
+    missing.  Partial writes are finished."""
+    if writev := getattr(os, "writev", None):
+        done = _vectored(lambda chunk: writev(fd, chunk), views, width, IOV_MAX)
+    else:
+        done = _vectored(lambda chunk: os.write(fd, chunk[0]), views, width, 1)
+    if done < len(views) * width:
+        raise OSError(errno.EIO, f"a write to fd {fd} wrote nothing")
 
 
 def _remove_stale_shards(directory: Path, k: int) -> None:
@@ -226,49 +269,74 @@ def shard_file(
     """Encode a file into k+2 shard files named shard_<col>.eof, reading
     and encoding it one batch of stripes at a time until its end.  The
     input may be a pipe, and is opened before the output directory is
-    touched.  Existing shard files are rewritten in place, and nothing is
-    synced: the header is zeroed first, the payload written, the file
-    truncated at its end, and the real header, which holds the length,
-    written last, so a write that raises leaves shards that read as
-    missing (a crash of the machine may not; see the module docstring).
-    Shard files of columns k+2 and above are removed.  Parameters whose
-    decoder cannot recover the loss of some column pair are refused with
-    UndecodablePairs before anything is opened."""
+    touched.  One cell-major buffer serves every batch: the source is read
+    straight into its cells, the information shards are written from them
+    and the parity shards from the encoder's output, all by scatter-gather
+    I/O.  The size of a regular input only caps that buffer at the stripes
+    the file fills; batches run until the input ends whatever its size.  A
+    buffer this process cannot allocate raises LaneWidthOutOfRange before
+    the output directory is touched.  Existing shard files are rewritten in
+    place, and nothing is synced: the header is zeroed first, the payload
+    written, the file truncated at its end, and the real header, which
+    holds the length, written last, so a write that raises leaves shards
+    that read as missing (a crash of the machine may not; see the module
+    docstring).  Shard files of columns k+2 and above are removed.
+    Parameters whose decoder cannot recover the loss of some column pair
+    are refused with UndecodablePairs before anything is opened."""
     _check_lane_width(lane_width)
     if bad := undecodable_pairs(params):
         raise UndecodablePairs(params, bad)
-    k = params.k
-    stripe_bytes = k * params.rows * lane_width
-    batch_bytes = _stripes_per_batch(params, lane_width) * stripe_bytes
+    k, rows = params.k, params.rows
+    stripe_bytes = k * rows * lane_width
     outdir = Path(output_dir)
     paths = [shard_path(outdir, c) for c in range(k + 2)]
-    with open(input_path, "rb") as src, ExitStack() as stack:
+    with open(input_path, "rb", buffering=0) as src, ExitStack() as stack:
+        per_batch = _stripes_per_batch(params, lane_width)
+        status = os.fstat(src.fileno())
+        if stat.S_ISREG(status.st_mode):
+            per_batch = min(per_batch, max(1, -(-status.st_size // stripe_bytes)))
+        cells = _cell_buffer(k * rows, per_batch * lane_width, lane_width)  # (r, j) at r*k + j
+        source = _lanes(cells, lane_width)  # the source's lanes, in its order
         outdir.mkdir(parents=True, exist_ok=True)
         _remove_stale_shards(outdir, k)
-        shards = [stack.enter_context(open(os.open(path, os.O_RDWR | os.O_CREAT, 0o666), "r+b"))
-                  for path in paths]
-        for fh in shards:
-            fh.write(bytes(HEADER_SIZE))
+        fds = []
+        for path in paths:
+            fds.append(os.open(path, os.O_RDWR | os.O_CREAT, 0o666))
+            stack.callback(os.close, fds[-1])
+        for fd in fds:
+            _write_all(fd, [bytes(HEADER_SIZE)], HEADER_SIZE)
         length = 0
-        while data := _read_batch(src, batch_bytes):
-            length += len(data)
-            stripes = -(-len(data) // stripe_bytes)
-            data += bytes(stripes * stripe_bytes - len(data))  # the last stripe is padded
-            info = _deinterleave(data, k, lane_width)
-            arr = _batch_array(params, lane_width, stripes,
-                               {j: _deinterleave(buf, params.rows, lane_width)
-                                for j, buf in enumerate(info)})
+        while got := _fill(src, source, lane_width):
+            length += got
+            stripes = -(-got // stripe_bytes)
+            lanes = stripes * rows * k
+            if got < lanes * lane_width:  # the last stripe is padded
+                full, offset = divmod(got, lane_width)
+                zero = bytes(lane_width)
+                for view in source[full:lanes]:
+                    view[offset:] = zero[offset:]
+                    offset = 0
+            arr = _batch_array(params, lane_width, stripes, {j: cells[j::k] for j in range(k)})
             encode(arr)
-            for fh, buf in zip(shards, info):
-                fh.write(buf)
-            for c in (k, k + 1):
-                shards[c].write(_interleave(arr.column(c), lane_width))
+            for j in range(k):
+                _write_all(fds[j], source[j:lanes:k], lane_width)
+            # `parity` keeps this batch's parity cells alive until the next
+            # batch's encode has run.  Freed before it, they would leave every
+            # block the batch took from the heap free at once; glibc then
+            # hands the top of the heap back to the system, and the next
+            # batch faults it in again, a page fault per page.
+            parity = [_lanes(arr.column(c), lane_width) for c in (k, k + 1)]
+            for c, views in zip((k, k + 1), parity):
+                _write_all(fds[c], views, lane_width)
+            if got < len(source) * lane_width:
+                break
         stripe_count = -(-length // stripe_bytes)
-        for c, fh in enumerate(shards):
-            fh.truncate()
-            fh.seek(0)
-            fh.write(ShardHeader(VERSION, params.tau, params.p, k, c, lane_width,
-                                 stripe_count, length).pack())
+        for c, fd in enumerate(fds):
+            os.ftruncate(fd, HEADER_SIZE + stripe_count * rows * lane_width)
+            os.lseek(fd, 0, os.SEEK_SET)
+            header = ShardHeader(VERSION, params.tau, params.p, k, c, lane_width,
+                                 stripe_count, length).pack()
+            _write_all(fd, [header], HEADER_SIZE)
     return paths
 
 
@@ -354,23 +422,10 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
 
 
 def _read_into(fh, views, width: int) -> None:
-    """Fill `views`, each `width` bytes, in order from the position of the
-    unbuffered file `fh`: one os.readv per IOV_MAX views, or readinto per
-    view where os.readv is missing.  A short read is finished view by view;
-    if the file ends first, HeaderMismatch names it."""
-    readv = getattr(os, "readv", None)
-    for start in range(0, len(views), IOV_MAX):
-        chunk = views[start : start + IOV_MAX]
-        done = readv(fh.fileno(), chunk) if readv else 0
-        if done == len(chunk) * width:
-            continue
-        full, offset = divmod(done, width)
-        for view in chunk[full:]:
-            view, offset = view[offset:], 0
-            while view:
-                if not (n := fh.readinto(view)):
-                    raise HeaderMismatch(f"{fh.name} ended early")
-                view = view[n:]
+    """Fill `views`, each `width` bytes, from the unbuffered shard `fh`
+    (see `_fill`); if the file ends first, HeaderMismatch names it."""
+    if _fill(fh, views, width) < len(views) * width:
+        raise HeaderMismatch(f"{fh.name} ended early")
 
 
 def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
@@ -379,11 +434,13 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
     One output buffer, sized to the file's largest batch, serves every
     batch, and the views of each information column's lanes in it are
     built once.  Each surviving information shard is read straight into
-    its lanes (`_read_into`).  When a column is lost, the decode gathers
-    the information cells from those lanes and the parity cells it needs
-    from reused buffers, and each recovered information column is copied
+    its lanes (`_read_into`).  When a column is lost, each parity shard its
+    decode needs is read the same way into the cells of a reused
+    cell-major buffer; the decode gathers the information cells from the
+    output buffer's lanes, and each recovered information column is copied
     into its lanes.  The buffer, cut at the original length, is written
-    with one call per batch."""
+    with one call per batch.  A buffer this process cannot allocate raises
+    LaneWidthOutOfRange before the output is created."""
     k, rows, lane_width = params.k, params.rows, ref.lane_width
     missing = [c for c in range(k + 2) if c not in shards]
     pattern = ErasurePattern(frozenset(missing))
@@ -394,26 +451,28 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
         parity = sorted(decoding_program(params, pattern.erased).columns - set(range(k)))
 
     per_batch = min(_stripes_per_batch(params, lane_width), ref.stripe_count)
-    buf = memoryview(bytearray(per_batch * k * rows * lane_width))
+    width = per_batch * lane_width  # of a cell
+    (buf,) = _cell_buffer(1, k * rows * width, lane_width)
     lanes = [[buf[n : n + lane_width] for n in range(c * lane_width, len(buf), k * lane_width)]
              for c in range(k)]  # column c's lanes, stripe by stripe and row by row
-    parity_bufs = {c: memoryview(bytearray(per_batch * rows * lane_width)) for c in parity}
+    parity_cells = {c: _cell_buffer(rows, width, lane_width) for c in parity}
+    parity_lanes = {c: _lanes(cells, lane_width) for c, cells in parity_cells.items()}
     temp = output.parent / f".{output.name}.{secrets.token_hex(4)}.tmp"
     left = ref.original_length
     out = open(temp, "xb")
     try:
         with out:
             for first in range(0, ref.stripe_count, per_batch or 1):
-                n = min(per_batch, ref.stripe_count - first) * rows  # lanes per column
+                stripes = min(per_batch, ref.stripe_count - first)
+                n = stripes * rows  # lanes per column
                 for c in info:
                     _read_into(shards[c], lanes[c][:n], lane_width)
                 if missing:
                     cells = {c: _deal(lanes[c][:n], rows) for c in info}
                     for c in parity:
-                        view = parity_bufs[c][: n * lane_width]
-                        _read_into(shards[c], [view], len(view))
-                        cells[c] = _deinterleave(view, rows, lane_width)
-                    arr = _batch_array(params, lane_width, n // rows, cells)
+                        _read_into(shards[c], parity_lanes[c][:n], lane_width)
+                        cells[c] = parity_cells[c]
+                    arr = _batch_array(params, lane_width, stripes, cells)
                     decode(arr, pattern)
                     # Row by row, in lists small enough for Python's own
                     # allocator: a list of all of a column's lanes would come

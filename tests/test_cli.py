@@ -1,10 +1,20 @@
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import eoflex
 from eoflex.cli import main
 from eoflex.shardio import HEADER_SIZE, ShardHeader, shard_path
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 # SHA-256 of `eoflex bench --csv` over the default parameter sets.
 BENCH_CSV_SHA256 = "d9ba320918f49e839c8c3c7d15fba803c707fe94cb5ec9b2bed6ed62739f31e7"
@@ -252,3 +262,49 @@ class TestEncodeDecode:
         assert err.startswith(expected.format(s=shards))
         assert err.count("\n") == 1
         assert not (tmp_path / "o.bin").exists()
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.RLIMIT_AS")
+class TestUnallocatableBatch:
+    """A lane width whose batch buffer the process cannot allocate gives one
+    `error:` line and exit 2, not a traceback.  The CLI runs in a child
+    whose address space is capped far below the buffer it asks for."""
+
+    ADDRESS_SPACE = 4 << 30
+
+    def run(self, *argv):
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (self.ADDRESS_SPACE, self.ADDRESS_SPACE))
+
+        package_root = str(Path(eoflex.__file__).parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+        return subprocess.run([sys.executable, "-m", "eoflex.cli", *map(str, argv)], env=env,
+                              preexec_fn=cap, capture_output=True, text=True, timeout=60)
+
+    def test_encode(self, tmp_path):
+        src = tmp_path / "empty.bin"
+        src.write_bytes(b"")
+        shards = tmp_path / "shards"
+        result = self.run("encode", "--tau", "2", "--p", "5", "--k", "3",
+                          "--lane-width", 2**32 - 1, src, shards)
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: lane width 4294967295 needs a batch buffer")
+        assert result.stderr.count("\n") == 1
+        assert not shards.exists()
+
+    def test_decode(self, tmp_path):
+        # The three information shards of one stripe at 256 MiB lanes,
+        # sparse: the output buffer would take 6 GiB.
+        lane_width = 2**28
+        shards = tmp_path / "shards"
+        shards.mkdir()
+        for c in range(3):
+            path = shard_path(shards, c)
+            path.write_bytes(ShardHeader(1, 2, 5, 3, c, lane_width, 1, 1).pack())
+            os.truncate(path, HEADER_SIZE + 8 * lane_width)
+        result = self.run("decode", shards, tmp_path / "o.bin")
+        assert (result.returncode, result.stdout) == (2, "")
+        assert result.stderr.startswith("error: lane width 268435456 needs a batch buffer")
+        assert result.stderr.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == [shards]

@@ -6,6 +6,7 @@ import random
 import stat
 import threading
 import tracemalloc
+import types
 
 import pytest
 
@@ -106,13 +107,21 @@ class TestHeader:
 @pytest.mark.parametrize("lane_width", [1, 7, 4096])
 @pytest.mark.parametrize("n", [1, PRM.k, PRM.rows])
 @pytest.mark.parametrize("rounds", [1, 3])
-def test_deinterleave_inverts_interleave(n, lane_width, rounds):
-    # n = 1 with one round is a buffer of a single lane.
-    buf = random.Random(n * lane_width + rounds).randbytes(n * rounds * lane_width)
-    parts = shardio._deinterleave(buf, n, lane_width)
-    assert [len(part) for part in parts] == [rounds * lane_width] * n
-    assert parts[-1][:lane_width] == buf[(n - 1) * lane_width : n * lane_width]
-    assert shardio._interleave(parts, lane_width) == buf
+def test_lanes_visit_cells_stripe_by_stripe(n, lane_width, rounds):
+    # n = 1 with one round is a buffer of a single lane.  Written in order,
+    # the views deal the source's lanes in turn into the n cells, and read
+    # in order they give the source back.
+    source = random.Random(n * lane_width + rounds).randbytes(n * rounds * lane_width)
+    cells = [bytearray(rounds * lane_width) for _ in range(n)]
+    views = shardio._lanes(cells, lane_width)
+    assert [len(view) for view in views] == [lane_width] * (n * rounds)
+    for m, view in enumerate(views):
+        view[:] = source[m * lane_width : (m + 1) * lane_width]
+    for m in range(n * rounds):
+        s, i = divmod(m, n)
+        assert cells[i][s * lane_width : (s + 1) * lane_width] == \
+            source[m * lane_width : (m + 1) * lane_width]
+    assert b"".join(views) == source
 
 
 def rewrite_version(shards, version, columns):
@@ -259,11 +268,13 @@ def test_batch_edges_roundtrip_all_pairs(tmp_path, stripes):
 @pytest.mark.parametrize("lane_width", [1, 3, 8])
 def test_narrow_lanes_roundtrip_every_loss(tmp_path, monkeypatch, lane_width, readv):
     # One column's lanes in a batch outnumber IOV_MAX, and the last of the
-    # three batches is short.
+    # three batches is short.  Without os.readv, os.writev goes too, so
+    # both directions move one view per call.
     per_batch = shardio._stripes_per_batch(PRM, lane_width)
     assert per_batch * PRM.rows > shardio.IOV_MAX
     if not readv:
         monkeypatch.delattr(os, "readv", raising=False)
+        monkeypatch.delattr(os, "writev", raising=False)
     size = (5 * per_batch // 2) * PRM.k * PRM.rows * lane_width - 7
     src, shards = encoded(tmp_path, random.Random(lane_width), size, lane_width=lane_width)
     roundtrip_every_loss(tmp_path, src, shards)
@@ -540,25 +551,56 @@ def test_pipe_input_gives_the_same_shards(tmp_path, rng):
     assert shard_bytes(tmp_path / "piped") == shard_bytes(tmp_path / "plain")
 
 
+@pytest.mark.skipif(not hasattr(os, "readv"), reason="needs os.readv")
 def test_short_reads_give_the_same_shards(tmp_path, rng, monkeypatch):
     src, plain = encoded(tmp_path, rng, 2 * PER_BATCH * STRIPE + 5000, lane_width=LANE)
+    real_readv = os.readv
 
-    class Trickle:
-        """The input, returning at most 1000 bytes per read."""
+    def trickle(fd, buffers):
+        """At most 1000 bytes per call."""
+        views, left = [], 1000
+        for buffer in buffers:
+            views.append(memoryview(buffer)[:left])
+            if not (left := left - len(views[-1])):
+                break
+        return real_readv(fd, views)
 
-        def __init__(self, path):
-            self.fh = open(path, "rb")
-
-        def read(self, n):
-            return self.fh.read(min(n, 1000))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-    monkeypatch.setattr(shardio, "open", lambda path, mode="r": Trickle(path)
-                        if path == src else open(path, mode), raising=False)
+    monkeypatch.setattr(os, "readv", trickle)
     shard_file(src, PRM, tmp_path / "trickled", lane_width=LANE)
     assert shard_bytes(tmp_path / "trickled") == shard_bytes(plain)
+
+
+def test_size_only_sizes_the_buffer(tmp_path, rng, monkeypatch):
+    # An input whose size reads as one stripe is still read to its end,
+    # one stripe per batch.
+    src, plain = encoded(tmp_path, rng, 2 * PER_BATCH * STRIPE + 5000, lane_width=LANE)
+    real_fstat, real_encode = os.fstat, shardio.encode
+    batches = []
+
+    def one_stripe(fd):
+        result = real_fstat(fd)
+        return types.SimpleNamespace(st_mode=result.st_mode, st_size=STRIPE)
+
+    def counted_encode(arr):
+        batches.append(arr.lane_width)
+        real_encode(arr)
+
+    monkeypatch.setattr(os, "fstat", one_stripe)
+    monkeypatch.setattr(shardio, "encode", counted_encode)
+    shard_file(src, PRM, tmp_path / "small", lane_width=LANE)
+    assert batches == [LANE] * (2 * PER_BATCH + 1)
+    assert shard_bytes(tmp_path / "small") == shard_bytes(plain)
+
+
+def test_write_memory_does_not_grow_with_file_size(tmp_path):
+    def peak(batches):
+        src = tmp_path / f"src{batches}"
+        src.write_bytes(random.Random(batches).randbytes(batches * PER_BATCH * STRIPE))
+        tracemalloc.start()
+        try:
+            shard_file(src, PRM, tmp_path / f"shards{batches}", lane_width=LANE)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(16) <= 1.25 * peak(4)
