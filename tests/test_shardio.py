@@ -107,10 +107,11 @@ class TestHeader:
 @pytest.mark.parametrize("lane_width", [1, 7, 4096])
 @pytest.mark.parametrize("n", [1, PRM.k, PRM.rows])
 @pytest.mark.parametrize("rounds", [1, 3])
-def test_lanes_visit_cells_stripe_by_stripe(n, lane_width, rounds):
-    # n = 1 with one round is a buffer of a single lane.  Written in order,
-    # the views deal the source's lanes in turn into the n cells, and read
-    # in order they give the source back.
+def test_deinterleave_inverts_interleave(n, lane_width, rounds):
+    # n = 1 with one round is a buffer of a single lane.  The views of
+    # _lanes do both shuffles: written in order, they deal the source's
+    # lanes in turn into the n cells, and read in order they give the
+    # source back.
     source = random.Random(n * lane_width + rounds).randbytes(n * rounds * lane_width)
     cells = [bytearray(rounds * lane_width) for _ in range(n)]
     views = shardio._lanes(cells, lane_width)
