@@ -6,8 +6,8 @@ benchmark XOR complexity.
     eoflex verify --tau T --p P --k K
     eoflex bench [--params-file <csv>] [--csv <path>]
 
-`verify` proves, for every pair of lost columns, that the programs a
-decode runs recover every codeword exactly (see `oracle.check_program`);
+`verify` proves, for every pair of lost columns, that the program a
+decode runs recovers every codeword exactly (see `oracle.check_program`);
 it uses no random data and exits 1 if any pair fails.  `encode` refuses
 parameters whose decoder cannot recover some pair.
 
@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import metrics, oracle, shardio
-from .decoder import recovery_programs
+from .decoder import recovery_program
 from .errors import ChainStall, CodeError, ParameterError, ParamsFileError
 from .params import validate_params
 
@@ -49,14 +49,14 @@ def _cmd_decode(args) -> int:
 
 
 def _pair_status(params, pair) -> str:
-    """Prove the programs `decode` runs for the loss of `pair`."""
+    """Prove the program `decode` runs for the loss of `pair`."""
     if not oracle.erasure_solver(params, pair).full_rank:
         return "FAIL (rank deficient)"
     try:
-        programs = recovery_programs(params, pair)
+        program = recovery_program(params, pair)
     except ChainStall:
         return "FAIL (chain decoder stalls on a full-rank pair)"
-    faults = sum(len(oracle.check_program(params, *program)) for program in programs)
+    faults = len(oracle.check_program(params, program, sorted(pair)))
     return f"FAIL ({faults} cells differ from the generator)" if faults else "OK"
 
 

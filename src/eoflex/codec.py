@@ -11,14 +11,13 @@ term is real exactly when mu < j.
 The rules run once per parameter set, on symbolic cells, and are compiled
 into an XOR program (see `program`); `encode` converts each information
 cell to an int once, runs that program and converts only the parity cells
-back to bytes.  Cells the caller already holds as ints (a decode that
-re-encodes a lost parity column holds all of them) are passed in `values`
-and not converted again.  A lane may concatenate the cells of many
-stripes.  Common bits are computed once per encode and reused across the
-n_c rows, and virtual diagonal terms are skipped rather than XOR-ed as zero
-lanes, so the program runs exactly 2*(k-1)*tau*(p-1) - t + n_c lane XORs
-per encode.  `encode` can also fill one parity column alone, as
-a decode that lost only that parity column does.
+back to bytes.  A lane may concatenate the cells of many stripes.  Common
+bits are computed once per encode and reused across the n_c rows, and
+virtual diagonal terms are skipped rather than XOR-ed as zero lanes, so
+the program runs exactly 2*(k-1)*tau*(p-1) - t + n_c lane XORs per
+encode.  `encode` can also fill one parity column alone, as a decode that
+lost only parity columns does.  A decode that lost an information column
+emits `parity_columns` into its own program instead (see `decoder`).
 
 Update reads the same program: `update_positions` runs it once on
 bitmasks, which names the parity cells each information cell feeds, and
@@ -93,14 +92,15 @@ def encoding_program(params: CodeParams, columns: tuple[int, ...]) -> Program:
     return b.finish([v for c in columns for v in cols[c]], f"encode {columns} of {params}")
 
 
-def encode(array: CodeArray, *, columns=None, values=None) -> CodeArray:
+def encode(array: CodeArray, *, columns=None) -> CodeArray:
     """Fill both parity columns, or the parity `columns` given, from the
-    information columns, in place.  `values` maps (row, column) to the
-    information cells the caller already holds as ints; those cells are
-    taken from it and their bytes in `array` are not read."""
+    information columns, in place."""
     p = array.params
     columns = (p.k, p.k + 1) if columns is None else tuple(sorted(columns))
-    encoding_program(p, columns).run_into(array, columns, values)
+    program = encoding_program(p, columns)
+    regs = program.load(array)
+    program.execute(regs)
+    program.store(regs, array, columns)
     return array
 
 

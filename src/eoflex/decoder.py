@@ -23,21 +23,21 @@ has a single unknown; if the engine exhausts every rule with cells still
 unknown it raises ChainStall rather than returning garbage.
 
 The rules run on symbolic cells (see `program`): `decoding_program` runs
-them once per (params, erased columns) and keeps the compiled XOR program
-for the erased information columns, with the XOR count of each phase, in a
-bounded cache.  `decode` converts each cell the program reads to an int
-once, runs the program as a flat loop over lanes of any width (the cells of
-many stripes concatenated) and converts only the recovered cells back to
-bytes.  Then `encode` re-encodes just the erased parity columns; it is
-handed every cell the decode program loaded or recovered as an int, so a
-decode converts no cell from bytes twice.  A two-information program runs
+them once per (params, erased columns) and keeps the compiled XOR program,
+with the XOR count of each phase, in a bounded cache.  That one program
+restores every erased column: the information columns, then a lost parity
+column re-encoded from them, as the paper rebuilds a failed parity disk.
+`decode` converts each cell the program reads to an int once, runs it as
+a flat loop over lanes of any width (the cells of many stripes
+concatenated) and converts only the restored cells back to bytes; a loss
+of parity columns alone is an `encode`.  A two-information program runs
 in two stages, `build_syndromes` and the chain of `decode_two_info`; they
-and the re-encode are called through their module-level names, so a traced
-run can time each apart.  The rank check of the chain chaser happens at
-compile time, and so does its common-bit consistency check, which raises
-ChainStall when its two sides combine different cells (see
-`Builder.check`).  `decode` adds the XOR counts of the programs it runs to
-a `metrics.DecodeTally`, when given one.
+and `encode` are called through their module-level names, so a traced run
+can time each apart.  The chain chaser's rank check and its common-bit
+consistency check happen at compile time; the latter raises ChainStall
+when its two sides combine different cells (see `Builder.check`).
+`decode` adds the XOR counts of the program it runs to a
+`metrics.DecodeTally`, when given one.
 """
 
 from __future__ import annotations
@@ -48,7 +48,8 @@ import math
 from dataclasses import dataclass
 
 from .codearray import CodeArray, ErasurePattern
-from .codec import common_bit_participants, diagonal_terms, encode, encoding_program
+from .codec import (common_bit_participants, diagonal_terms, encode, encoding_program,
+                    parity_columns)
 from .errors import (
     ChainStall,
     DiagParityMissing,
@@ -387,8 +388,10 @@ def decode_info_with_diag_parity(b: Builder, f: int) -> list[int]:
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def decoding_program(params: CodeParams, erased: frozenset) -> Program:
-    """Compile the recovery of the erased information columns, which must
-    be one or two: outputs one column after the other, row by row.
+    """Compile the recovery of the `erased` columns, one or two of which
+    are information columns: the information columns first, then the
+    erased parity column re-encoded from them under phase "chase".
+    Outputs come one column after the other in column order, row by row.
 
     Raises ChainStall when the rules cannot recover the pattern: on the
     rank-deficient column pairs of non-MDS parameter sets, and on the
@@ -403,33 +406,33 @@ def decoding_program(params: CodeParams, erased: frozenset) -> Program:
         columns = [decode_info_with_diag_parity(b, info[0])]
     else:
         columns = [decode_info_via_row_parity(b, info[0])]
+    for c, cells in zip(info, columns):
+        for i, value in enumerate(cells):
+            b.set(i, c, value)
+    columns = [*columns, *parity_columns(b, erased - set(info)).values()]
     return b.finish(
         [v for column in columns for v in column],
         f"decode of columns {sorted(erased)} of {params}",
     )
 
 
-def recovery_programs(params: CodeParams, erased) -> list[tuple[Program, list[int]]]:
-    """The programs `decode` runs for the loss of the `erased` columns,
-    each with the columns it restores: the decode of the erased information
-    columns, then the encode of the erased parity columns.  Raises
-    ChainStall as `decoding_program` does."""
-    info = sorted(c for c in erased if c < params.k)
-    parity = sorted(c for c in erased if c >= params.k)
-    programs = [(decoding_program(params, frozenset(erased)), info)] if info else []
-    if parity:
-        programs.append((encoding_program(params, tuple(parity)), parity))
-    return programs
+def recovery_program(params: CodeParams, erased) -> Program:
+    """The program that restores the `erased` columns into `sorted(erased)`;
+    raises ChainStall as `decoding_program` does."""
+    columns = tuple(sorted(erased))
+    if columns[0] >= params.k:
+        return encoding_program(params, columns)
+    return decoding_program(params, frozenset(columns))
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def undecodable_pairs(params: CodeParams) -> tuple[tuple[int, int], ...]:
     """The column pairs whose loss `decode` cannot recover: those whose
-    recovery programs do not compile."""
+    recovery program does not compile."""
     bad = []
     for pair in itertools.combinations(range(params.k + 2), 2):
         try:
-            recovery_programs(params, pair)
+            recovery_program(params, pair)
         except ChainStall:
             bad.append(pair)
     return tuple(bad)
@@ -452,31 +455,26 @@ def decode(array: CodeArray, pattern: ErasurePattern, tally=None) -> CodeArray:
     """Restore the erased columns in place and return the array.
 
     Cells of erased columns are never read; every other column must be
-    intact.  Erased information columns are recovered first, then only the
-    erased parity columns are re-encoded.  `tally`, when given, is a
-    metrics.DecodeTally: the XOR counts of the decode program's phases are
-    added to it, and the re-encode's count under "chase".
+    intact.  A pattern that loses an information column runs its one
+    decoding program; a pattern that loses only parity columns re-encodes
+    them.  `tally`, when given, is a metrics.DecodeTally: the XOR counts of
+    the program's phases are added to it, a re-encode's under "chase".
     """
     p = array.params
     pattern.validate(p)
-    info = sorted(c for c in pattern.erased if c < p.k)
-    parity = tuple(sorted(pattern.erased - set(info)))
-    xors = []
-    values = None
-    if info:
+    erased = sorted(pattern.erased)
+    if erased[0] >= p.k:
+        encode(array, columns=erased)
+        xors = [("chase", encoding_program(p, tuple(erased)).xor_count)]
+    else:
         program = decoding_program(p, pattern.erased)
         regs = program.load(array)
-        if len(info) == 2:
+        if len(erased) == 2 and erased[1] < p.k:
             decode_two_info(program, regs)
         else:
             program.execute(regs)
-        program.store(regs, array, info)
-        if parity:
-            values = program.cell_values(regs, info)
-        xors += program.xors
-    if parity:
-        encode(array, columns=parity, values=values)
-        xors.append(("chase", encoding_program(p, parity).xor_count))
+        program.store(regs, array, erased)
+        xors = program.xors
     if tally is not None:
         tally.add(xors)
     return array

@@ -16,14 +16,12 @@ sides must combine the same cells, which makes them equal on any input, or
 compiling raises ChainStall.  A program compares nothing when it runs.
 
 Running a program converts each input cell to an int once, XORs ints in a
-flat loop and converts only the output cells back to bytes.  `load` takes
-the cells a caller already holds as ints and converts only the others, and
-`cell_values` hands a run's inputs and outputs on as ints, so a second
-program over the same array (the parity re-encode after a decode) converts
-no cell the first one did.  A lane may be any width, so one run can cover
-many stripes whose cells are concatenated lane by lane.  The code is cut
-into stages where the rules asked for it, so a caller can run (and time)
-each stage on its own.
+flat loop and converts only the output cells back to bytes.  One program
+restores every lost column of a pattern, so no int is handed from one
+program to another.  A lane may be any width, so one run can cover many
+stripes whose cells are concatenated lane by lane.  The code is cut into
+stages where the rules asked for it, so a caller can run (and time) each
+stage on its own.
 """
 
 from __future__ import annotations
@@ -65,22 +63,18 @@ class Program:
     def xor_count(self) -> int:
         return sum(n for _, n in self.xors)
 
-    def load(self, array, values=None) -> list[int]:
-        """Registers with the input cells loaded: from `values`, a mapping
-        of (row, column) to the cell as an int, where it holds the cell, and
-        converted from the bytes of `array` otherwise."""
+    def load(self, array) -> list[int]:
+        """Registers with the input cells of `array` loaded as ints."""
         cells = array.cells
         regs = [0] * self.registers
         it = iter(self.inputs)
         for r, i, j in zip(it, it, it):
-            value = values.get((i, j)) if values else None
-            regs[r] = int.from_bytes(cells[i][j], "little") if value is None else value
+            regs[r] = int.from_bytes(cells[i][j], "little")
         return regs
 
     def cell_values(self, regs: list[int], columns) -> dict[tuple[int, int], int]:
-        """The cells held in executed `regs` as ints, keyed by (row, column):
-        every input cell, and the outputs as `store` places them into
-        `columns`."""
+        """The cells held in executed `regs`, keyed by (row, column): every
+        input cell, and the outputs as `store` places them into `columns`."""
         it = iter(self.inputs)
         values = {(i, j): regs[r] for r, i, j in zip(it, it, it)}
         rows = len(self.outputs) // len(columns)
@@ -114,13 +108,6 @@ class Program:
         regs = self.load(array)
         self.execute(regs)
         return self.results(regs, array.lane_width)
-
-    def run_into(self, array, columns, values=None) -> None:
-        """Run on `array`, with the cells in `values` taken as given (see
-        `load`), and store the outputs into `columns` of it."""
-        regs = self.load(array, values)
-        self.execute(regs)
-        self.store(regs, array, columns)
 
 
 class Builder:

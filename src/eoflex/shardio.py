@@ -347,12 +347,18 @@ def _too_many_missing(message: str, rejected: list[str]) -> TooManyMissing:
     return TooManyMissing(message)
 
 
+def _open_nonblocking(path, flags: int) -> int:
+    """`open` opener that does not wait for a FIFO's writer."""
+    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+
+
 def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     """Open the usable shards on `stack`: returns (reference header,
-    params, column -> unbuffered file positioned at its payload).  A file
-    whose header fails its CRC, or whose payload length is not what the
+    params, column -> unbuffered file positioned at its payload).  An entry
+    that cannot be opened or is not a regular file (no FIFO is waited on),
+    or whose header fails its CRC, or whose payload length is not what the
     header implies, counts as missing (an erasure of that column); if more
-    than two columns are missing, TooManyMissing names each such file and
+    than two columns are missing, TooManyMissing names each such entry and
     why it was rejected.  A header of another format version raises
     UnsupportedVersion.  Headers that disagree, a column index above k+1,
     two shards of one column, a lane width of 0 and a stripe count that
@@ -362,7 +368,15 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     reference: ShardHeader | None = None
     reference_path = None
     for path in sorted(Path(directory).glob("shard_*.eof")):
-        fh = stack.enter_context(open(path, "rb", buffering=0))
+        try:
+            fh = stack.enter_context(open(path, "rb", buffering=0, opener=_open_nonblocking))
+        except OSError as exc:
+            rejected.append(f"{path} ({exc.strerror})")
+            continue
+        status = os.fstat(fh.fileno())
+        if not stat.S_ISREG(status.st_mode):
+            rejected.append(f"{path} (not a regular file)")
+            continue
         try:
             header = ShardHeader.unpack(fh.read(HEADER_SIZE), str(path))
         except CrcFailure as exc:
@@ -377,7 +391,7 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
             raise HeaderMismatch(f"{path} names column {column}, above k+1 = {header.k + 1}")
         if column in found:
             raise HeaderMismatch(f"{path} and {found[column][0]} both hold column {column}")
-        found[column] = (path, fh, os.fstat(fh.fileno()).st_size - HEADER_SIZE)
+        found[column] = (path, fh, status.st_size - HEADER_SIZE)
     if reference is None:
         raise _too_many_missing("no readable shards found", rejected)
     params = validate_params(reference.tau, reference.p, reference.k)

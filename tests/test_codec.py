@@ -106,24 +106,6 @@ class TestEncode:
             assert counts[0] == prm.rows * (prm.k - 1)
             assert sum(counts) == full
 
-    @pytest.mark.parametrize("columns", [None, {3}, {4}])
-    def test_given_values_replace_cell_bytes(self, columns, rng):
-        # Cells passed as ints are used as given and their bytes are not
-        # read: scrambled bytes under the right ints give the right parity.
-        want = encode(CodeArray.random(PRM, 8, rng))
-        arr = want.copy()
-        values = {}
-        for i in range(PRM.rows):
-            for j in range(PRM.k):
-                if (i + j) % 3:
-                    values[(i, j)] = int.from_bytes(arr.get(i, j), "little")
-                    arr.set(i, j, rng.randbytes(8))
-        for c in (PRM.k, PRM.k + 1):
-            arr.set_column(c, [bytes(8)] * PRM.rows)
-        encode(arr, columns=columns, values=values)
-        for c in columns or (PRM.k, PRM.k + 1):
-            assert arr.column(c) == want.column(c)
-
     def test_linearity(self, rng):
         for triple in [(2, 5, 3), (1, 7, 5), (2, 7, 4)]:
             prm = validate_params(*triple)

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from conftest import ACCEPTANCE_SETS, deficient_pairs, evaluate
+from eoflex import decoder
 from eoflex.codearray import CodeArray, ErasurePattern, xor_lanes, zero_lane
 from eoflex.codec import compute_common_bits, encode
 from eoflex.decoder import (
@@ -70,8 +71,8 @@ class TestDispatch:
 
     @pytest.mark.parametrize("triple", [(2, 5, 3), (1, 11, 7), (3, 9, 3)])
     def test_info_and_parity_loss_converts_no_cell_twice(self, triple, rng):
-        # The parity re-encode takes the cells the decode already holds as
-        # ints, so no surviving cell is converted from bytes a second time.
+        # One program restores both columns, so no surviving cell is
+        # converted from bytes a second time.
         prm = validate_params(*triple)
         for f in range(prm.k):
             for parity in (prm.k, prm.k + 1):
@@ -84,6 +85,33 @@ class TestDispatch:
                 decode(arr, ErasurePattern.of(f, parity))
                 assert arr == ref
                 assert conversions and max(conversions.values()) == 1, (f, parity)
+
+    @pytest.mark.parametrize("triple", [(2, 5, 3), (1, 11, 7), (3, 9, 3)])
+    def test_one_program_per_pattern(self, triple, rng, monkeypatch):
+        # A loss of an information column runs its one decoding program,
+        # which restores a lost parity column too, and calls no encode; a
+        # loss of both parity columns is exactly one encode.
+        prm = validate_params(*triple)
+        k = prm.k
+        calls = []
+
+        def counted_encode(*args, **kwargs):
+            calls.append(kwargs.get("columns"))
+            return encode(*args, **kwargs)
+
+        monkeypatch.setattr(decoder, "encode", counted_encode)
+        for f in range(k):
+            for cols in [(f,), (f, k), (f, k + 1)]:
+                arr = encoded_random(triple, rng, 4)
+                ref = arr.copy()
+                decode(arr, ErasurePattern.of(*cols))
+                assert arr == ref, cols
+                assert calls == [], cols
+        arr = encoded_random(triple, rng, 4)
+        ref = arr.copy()
+        decode(arr, ErasurePattern.of(k, k + 1))
+        assert arr == ref
+        assert calls == [[k, k + 1]]
 
     def test_too_many_erasures(self, rng):
         arr = encoded_random((2, 5, 3), rng)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -23,6 +24,11 @@ from eoflex.metrics import (
 from eoflex.params import validate_params
 
 PRM = validate_params(2, 5, 3)
+
+# SHA-256 of the repr of (triple, columns, sum_common, reduce, chase) for
+# every pattern `test_decode_tallies_are_golden` decodes, in order; recorded
+# while a lost parity column was still rebuilt by a second program.
+DECODE_TALLIES_SHA256 = "8acaaeaac8fb7646cef8a06a84d11a781381b5b403f414647bf676e73a9e5812"
 
 
 class TestEncodeXors:
@@ -64,21 +70,20 @@ class TestDecodeXors:
 
     @pytest.mark.parametrize("triple", sorted(INFO_ROW_TOTALS))
     def test_decode_tally_reads_the_programs(self, triple):
-        # A decode adds to its tally what the programs it runs count: the
-        # decoding program's phases, and the parity re-encode under chase.
-        # Random arrays all give those counts, and are restored.
+        # A decode adds to its tally what the program it runs counts: the
+        # decoding program's phases when an information column is lost,
+        # else the parity re-encode under chase.  Random arrays all give
+        # those counts, and are restored.
         prm = validate_params(*triple)
         rng = random.Random(sum(triple))
         patterns = [(c,) for c in range(prm.k + 2)]
         patterns += itertools.combinations(range(prm.k + 2), 2)
         for cols in patterns:
-            info = [c for c in cols if c < prm.k]
-            parity = tuple(c for c in cols if c >= prm.k)
             want = DecodeTally()
-            if info:
+            if cols[0] < prm.k:
                 want.add(decoding_program(prm, frozenset(cols)).xors)
-            if parity:
-                want.chase += encoding_program(prm, parity).xor_count
+            else:
+                want.chase += encoding_program(prm, cols).xor_count
             for _ in range(2):
                 arr = encode(CodeArray.random(prm, 3, rng))
                 got = arr.copy()
@@ -88,6 +93,24 @@ class TestDecodeXors:
                 assert tally == want, cols
             if cols == self.INFO_ROW_TOTALS[triple][0]:
                 assert tally.total == self.INFO_ROW_TOTALS[triple][1]
+
+    def test_decode_tallies_are_golden(self):
+        # The XORs per phase `decode` tallies for every one- and two-column
+        # loss the decoder recovers on the ACCEPTANCE_SETS, frozen across
+        # refactors of how a pattern is recovered.
+        digest = hashlib.sha256()
+        for triple in ACCEPTANCE_SETS:
+            prm = validate_params(*triple)
+            patterns = [(c,) for c in range(prm.k + 2)]
+            patterns += itertools.combinations(range(prm.k + 2), 2)
+            for cols in patterns:
+                if cols in deficient_pairs(triple):
+                    continue
+                tally = DecodeTally()
+                decode(CodeArray.zeros(prm, 1), ErasurePattern.of(*cols), tally)
+                entry = (triple, cols, tally.sum_common, tally.reduce, tally.chase)
+                digest.update(repr(entry).encode())
+        assert digest.hexdigest() == DECODE_TALLIES_SHA256
 
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
     def test_phases_reported(self, triple):

@@ -9,7 +9,7 @@ from conftest import ACCEPTANCE_SETS, deficient_pairs
 
 from eoflex.codearray import CodeArray, ErasurePattern
 from eoflex.codec import encode, encoding_program
-from eoflex.decoder import decode, decoding_program, recovery_programs
+from eoflex.decoder import decode, decoding_program, recovery_program
 from eoflex.errors import ChainStall
 from eoflex.oracle import check_program, erasure_solver
 from eoflex.params import validate_params
@@ -19,7 +19,7 @@ PRM = validate_params(2, 5, 3)
 
 # SHA-256 of the repr of every program `every_program` yields for the
 # ACCEPTANCE_SETS, in order.
-PROGRAMS_SHA256 = "14888f3ddf56f1673a949c5449c97d00ec1465b742b73dd3461db5b1c4f45c43"
+PROGRAMS_SHA256 = "1b9a1ed6b7e1e6aab70f0b7c2cc94026d4cad39b6f9458e1b67efc7e6e697f2c"
 
 
 def lanes_of(*values):
@@ -107,13 +107,13 @@ class TestBuilder:
 
 
 def every_program(prm, triple):
-    """(program, columns it stores into) for the encoders and every one- and
-    two-column decoding program of `prm`."""
+    """(program, columns it stores into) for the recovery program of every
+    one- and two-column loss of `prm`."""
     k = prm.k
     patterns = [(c,) for c in range(k + 2)] + list(itertools.combinations(range(k + 2), 2))
     for cols in patterns:
         if cols not in deficient_pairs(triple):
-            yield from recovery_programs(prm, cols)
+            yield recovery_program(prm, cols), sorted(cols)
 
 
 class TestProof:

@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import hashlib
 import itertools
@@ -456,6 +457,79 @@ class TestMalformedShards:
         shard_path(shards, 7).write_bytes(shard_path(shards, 2).read_bytes())
         with pytest.raises(HeaderMismatch, match="column 2"):
             reconstruct(shards, tmp_path / "out.bin")
+
+
+def reconstruct_or_fail(shards, out, seconds=30):
+    """Run reconstruct(shards, out) in a worker thread and return or raise
+    what it does.  A read still blocked after `seconds` fails the test
+    instead of stalling the suite; every FIFO among the shards is then
+    opened for writing, which ends a wait for a writer."""
+    outcome = []
+
+    def work():
+        try:
+            outcome.append(reconstruct(shards, out))
+        except Exception as exc:
+            outcome.append(exc)
+
+    worker = threading.Thread(target=work, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    if worker.is_alive():
+        for entry in shards.iterdir():
+            if entry.is_fifo():
+                with contextlib.suppress(OSError):
+                    os.close(os.open(entry, os.O_WRONLY | os.O_NONBLOCK))
+        pytest.fail(f"reconstruct still blocked after {seconds} s")
+    if isinstance(outcome[0], Exception):
+        raise outcome[0]
+    return outcome[0]
+
+
+def make_entry(path, kind):
+    """Put a non-regular entry of `kind` at `path`."""
+    if kind == "fifo":
+        os.mkfifo(path)
+    elif kind == "directory":
+        path.mkdir()
+    else:
+        path.symlink_to(path.with_name("nowhere"))
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestNonRegularEntries:
+    """Entries named like shards that are not regular files are rejected
+    shards, like one whose header fails its CRC: they never stall or abort
+    a read."""
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "dangling symlink"])
+    def test_beside_an_intact_set(self, tmp_path, rng, kind):
+        src, shards = encoded(tmp_path, rng, 30_000)
+        make_entry(shard_path(shards, 7), kind)
+        out = tmp_path / "out.bin"
+        reconstruct_or_fail(shards, out)
+        assert sha(out) == sha(src)
+
+    def test_shard_replaced_by_a_fifo_is_an_erasure(self, tmp_path, rng):
+        src, shards = encoded(tmp_path, rng, 30_000)
+        shard_path(shards, 1).unlink()
+        os.mkfifo(shard_path(shards, 1))
+        out = tmp_path / "out.bin"
+        reconstruct_or_fail(shards, out)
+        assert sha(out) == sha(src)
+
+    def test_each_is_named_with_its_reason(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 30_000)
+        for c in (0, 1, 2):
+            shard_path(shards, c).unlink()
+        for c, kind in [(7, "fifo"), (8, "dangling symlink"), (9, "directory")]:
+            make_entry(shard_path(shards, c), kind)
+        with pytest.raises(TooManyMissing) as info:
+            reconstruct_or_fail(shards, tmp_path / "out.bin")
+        message = str(info.value)
+        assert f"{shard_path(shards, 7)} (not a regular file)" in message
+        assert f"{shard_path(shards, 8)} (No such file or directory)" in message
+        assert f"{shard_path(shards, 9)} (Is a directory)" in message
 
 
 class TestRewrite:
