@@ -22,18 +22,17 @@ UnsupportedVersion rather than read as if it were this one.
 
 Both directions stream the data in batches of BATCH_BYTES of source (at
 least one stripe), and of at most BATCH_LANES lanes, so memory use depends
-on the batch, not on the file or the lane width.  Neither direction
-shuffles lanes in user space: the kernel does it, by scatter-gather I/O
-through lists of views (`_lanes`), at most IOV_MAX per call.  A write
-reuses one cell-major buffer for every batch, in which each information
-cell over all the batch's stripes is one contiguous slice.  The source is
-read with `os.readv` straight into the cells, lane by lane in its own
-order; the compiled encode program runs once on the whole batch
-(`_batch_array` gathers its cells into one CodeArray); and each shard is
-written with `os.writev`, the information shards from views of the cells
-and the parity shards from views of the encoder's output.  The input is
-read to its end, so it may be a pipe; the headers, which record its
-length, are written last.
+on the batch, not on the file or the lane width.  The kernel moves every
+lane, by scatter-gather I/O through lists of views (`_lanes`), at most
+IOV_MAX per call.  A write reuses one cell-major buffer for every batch
+(`_batch_buffer`), in which each cell over all the batch's stripes is one
+contiguous slice.  The source is read with `os.readv` straight into the
+information cells, lane by lane in its own order; the compiled encode
+program runs once on the whole batch (`_batch_array` wraps the cells in
+one CodeArray); and each shard is written with `os.writev`, the
+information shards from views of the cells and the parity shards from
+views of the encoder's output.  The input is read to its end, so it may be
+a pipe; the headers, which record its length, are written last.
 
 A write rewrites existing shard files in place rather than truncating
 them, which on ext4 would free their blocks and force write-back on close.
@@ -49,16 +48,18 @@ only the header has a CRC a read can then return wrong bytes without an
 error.  Shards shard_<c>.eof with c >= k+2, left by an earlier set with
 more columns, are removed.
 
-A read reuses one output buffer for every batch, and reads each
-surviving information shard straight into that column's lanes of it with
-`os.readv`, so a read with every information column present only moves
-bytes.  Only when a column is lost are the parity shards its decode
-program reads loaded too, each the same way into the cells of a reused
-cell-major buffer: the decode gathers the information cells from the
-output buffer's lanes, `decode` converts each cell to an int at most once
-(see `decoder`) and restores the lost columns, and each recovered
-information column is copied into its lanes.
-The output is written to a temporary file beside it and renamed into
+A read with every column present reuses one output buffer in the
+source's order, reads each information shard straight into that column's
+lanes of it with `os.readv` and writes it with one call per batch, so it
+only moves bytes.  A read with a column lost uses the batch buffer of a
+write instead: each shard the decode program reads is loaded into its
+column's lanes with `os.readv`, `decode` converts each cell to an int at
+most once (see `decoder`) and restores the lost columns, each recovered
+information cell is copied into its cell, and the information lanes are
+written with `os.writev`, the mirror image of a write.  Healthy reads keep
+their own buffer because one `write` of it is faster than `os.writev` of
+its lanes.  The output is written to a temporary file beside it, which
+takes the permission bits of an output it replaces and is renamed into
 place after the last batch, so a failed read leaves an existing output
 untouched.
 """
@@ -67,14 +68,13 @@ from __future__ import annotations
 
 import dataclasses
 import errno
-import io
 import os
 import re
 import secrets
 import stat
 import struct
 import zlib
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from pathlib import Path
 
 from .codearray import CodeArray, ErasurePattern
@@ -170,26 +170,6 @@ def _lanes(cells, lane_width: int) -> list[memoryview]:
     return [v[n : n + lane_width] for n in range(0, len(views[0]), lane_width) for v in views]
 
 
-def _deal(lanes, n: int) -> list[bytes]:
-    """Deal `lanes` in turn into `n` buffers: lane 0 to buffer 0, lane 1
-    to buffer 1, lane n to buffer 0 again."""
-    return [b"".join(lanes[i::n]) for i in range(n)]
-
-
-def _batch_array(params: CodeParams, lane_width: int, stripes: int, columns) -> CodeArray:
-    """Batch array of `stripes` stripes: `columns` maps a column to its
-    cells row by row, each that cell over at least `stripes` stripes, of
-    which the first `stripes` lanes are taken.  Cells of other columns are
-    zero."""
-    width = stripes * lane_width
-    zero = bytes(width)
-    cells = [[zero] * (params.k + 2) for _ in range(params.rows)]
-    for j, column in columns.items():
-        for row, cell in zip(cells, column):
-            row[j] = cell[:width]
-    return CodeArray(params, width, cells)
-
-
 def _check_lane_width(lane_width: int) -> None:
     if not 1 <= lane_width <= MAX_LANE_WIDTH:
         raise LaneWidthOutOfRange(
@@ -209,6 +189,29 @@ def _cell_buffer(cells: int, width: int, lane_width: int) -> list[memoryview]:
             "more than this process can allocate"
         ) from None
     return [buf[i * width : (i + 1) * width] for i in range(cells)]
+
+
+def _batch_buffer(params: CodeParams, stripes: int, lane_width: int):
+    """The reused buffer of a batch of up to `stripes` stripes, as (cells,
+    views, source).  `cells` are the rows*(k+2) cells of the array, each
+    over every stripe, one after the other: cell (r, c) at r*(k+2) + c.
+    `views` are their lanes (`_lanes`), so column c's lanes are
+    views[c::k+2] in shard order, and `source` are the information lanes
+    in the source's order.  A buffer this process cannot allocate raises
+    LaneWidthOutOfRange."""
+    n = params.k + 2
+    cells = _cell_buffer(params.rows * n, stripes * lane_width, lane_width)
+    views = _lanes(cells, lane_width)
+    return cells, views, [v for r in range(0, len(views), n) for v in views[r : r + params.k]]
+
+
+def _batch_array(params: CodeParams, lane_width: int, stripes: int, cells) -> CodeArray:
+    """CodeArray over the first `stripes` stripes of a batch buffer's
+    `cells` (see `_batch_buffer`)."""
+    n, width = params.k + 2, stripes * lane_width
+    if width < len(cells[0]):
+        cells = [cell[:width] for cell in cells]
+    return CodeArray(params, width, [cells[r * n : (r + 1) * n] for r in range(params.rows)])
 
 
 def _vectored(move, views, width: int, step: int) -> int:
@@ -269,13 +272,14 @@ def shard_file(
     """Encode a file into k+2 shard files named shard_<col>.eof, reading
     and encoding it one batch of stripes at a time until its end.  The
     input may be a pipe, and is opened before the output directory is
-    touched.  One cell-major buffer serves every batch: the source is read
-    straight into its cells, the information shards are written from them
-    and the parity shards from the encoder's output, all by scatter-gather
-    I/O.  The size of a regular input only caps that buffer at the stripes
-    the file fills; batches run until the input ends whatever its size.  A
-    buffer this process cannot allocate raises LaneWidthOutOfRange before
-    the output directory is touched.  Existing shard files are rewritten in
+    touched.  One cell-major buffer (`_batch_buffer`) serves every batch:
+    the source is read straight into its information cells, the
+    information shards are written from them and the parity shards from
+    the encoder's output, all by scatter-gather I/O.  The size of a
+    regular input only caps that buffer at the stripes the file fills;
+    batches run until the input ends whatever its size.  A buffer this
+    process cannot allocate raises LaneWidthOutOfRange before the output
+    directory is touched.  Existing shard files are rewritten in
     place, and nothing is synced: the header is zeroed first, the payload
     written, the file truncated at its end, and the real header, which
     holds the length, written last, so a write that raises leaves shards
@@ -295,8 +299,7 @@ def shard_file(
         status = os.fstat(src.fileno())
         if stat.S_ISREG(status.st_mode):
             per_batch = min(per_batch, max(1, -(-status.st_size // stripe_bytes)))
-        cells = _cell_buffer(k * rows, per_batch * lane_width, lane_width)  # (r, j) at r*k + j
-        source = _lanes(cells, lane_width)  # the source's lanes, in its order
+        cells, views, source = _batch_buffer(params, per_batch, lane_width)
         outdir.mkdir(parents=True, exist_ok=True)
         _remove_stale_shards(outdir, k)
         fds = []
@@ -316,18 +319,18 @@ def shard_file(
                 for view in source[full:lanes]:
                     view[offset:] = zero[offset:]
                     offset = 0
-            arr = _batch_array(params, lane_width, stripes, {j: cells[j::k] for j in range(k)})
+            arr = _batch_array(params, lane_width, stripes, cells)
             encode(arr)
             for j in range(k):
-                _write_all(fds[j], source[j:lanes:k], lane_width)
+                _write_all(fds[j], views[j : stripes * rows * (k + 2) : k + 2], lane_width)
             # `parity` keeps this batch's parity cells alive until the next
             # batch's encode has run.  Freed before it, they would leave every
             # block the batch took from the heap free at once; glibc then
             # hands the top of the heap back to the system, and the next
             # batch faults it in again, a page fault per page.
             parity = [_lanes(arr.column(c), lane_width) for c in (k, k + 1)]
-            for c, views in zip((k, k + 1), parity):
-                _write_all(fds[c], views, lane_width)
+            for c, column in zip((k, k + 1), parity):
+                _write_all(fds[c], column, lane_width)
             if got < len(source) * lane_width:
                 break
         stripe_count = -(-length // stripe_bytes)
@@ -445,61 +448,57 @@ def _read_into(fh, views, width: int) -> None:
 def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
     """Stream the original file out of the open `shards` into `output`.
 
-    One output buffer, sized to the file's largest batch, serves every
-    batch, and the views of each information column's lanes in it are
-    built once.  Each surviving information shard is read straight into
-    its lanes (`_read_into`).  When a column is lost, each parity shard its
-    decode needs is read the same way into the cells of a reused
-    cell-major buffer; the decode gathers the information cells from the
-    output buffer's lanes, and each recovered information column is copied
-    into its lanes.  The buffer, cut at the original length, is written
-    with one call per batch.  A buffer this process cannot allocate raises
-    LaneWidthOutOfRange before the output is created."""
+    With every column present, one output buffer in the source's order
+    serves every batch: each information shard is read straight into its
+    lanes (`_read_into`), and the buffer, cut at the original length, is
+    written with one call.  With a column lost, the batch buffer of a
+    write serves instead (`_batch_buffer`): each shard the decode needs is
+    read into its column's lanes, `decode` restores the lost columns of
+    the batch's CodeArray, each recovered information cell is copied into
+    its cell, and the information lanes, cut at the original length, are
+    written with os.writev, the mirror image of a write.  A set of 0
+    stripes compiles no program and allocates no buffer.  A buffer this
+    process cannot allocate raises LaneWidthOutOfRange before the output is
+    created.  The output keeps the permission bits of a file it replaces."""
     k, rows, lane_width = params.k, params.rows, ref.lane_width
     missing = [c for c in range(k + 2) if c not in shards]
-    pattern = ErasurePattern(frozenset(missing))
-    lost_info = [c for c in missing if c < k]
-    info = [c for c in range(k) if c in shards]
-    parity = []
-    if lost_info:
-        parity = sorted(decoding_program(params, pattern.erased).columns - set(range(k)))
-
+    degraded = bool(missing) and ref.stripe_count > 0
+    read = [c for c in range(k) if c in shards]
     per_batch = min(_stripes_per_batch(params, lane_width), ref.stripe_count)
-    width = per_batch * lane_width  # of a cell
-    (buf,) = _cell_buffer(1, k * rows * width, lane_width)
-    lanes = [[buf[n : n + lane_width] for n in range(c * lane_width, len(buf), k * lane_width)]
-             for c in range(k)]  # column c's lanes, stripe by stripe and row by row
-    parity_cells = {c: _cell_buffer(rows, width, lane_width) for c in parity}
-    parity_lanes = {c: _lanes(cells, lane_width) for c, cells in parity_cells.items()}
+    # Column c's lanes are lanes[c::stride]; out_views of out_width bytes hold the output.
+    if degraded:
+        pattern = ErasurePattern(frozenset(missing))
+        lost_info = [c for c in missing if c < k]
+        if lost_info:
+            read += sorted(decoding_program(params, pattern.erased).columns - set(range(k)))
+        cells, lanes, out_views = _batch_buffer(params, per_batch, lane_width)
+        stride, out_width = k + 2, lane_width
+    else:
+        (buf,) = _cell_buffer(1, k * rows * per_batch * lane_width, lane_width)
+        lanes, out_views = _lanes([buf], lane_width), [buf]
+        stride, out_width = k, len(buf)
     temp = output.parent / f".{output.name}.{secrets.token_hex(4)}.tmp"
     left = ref.original_length
-    out = open(temp, "xb")
     try:
-        with out:
+        with open(temp, "xb", buffering=0) as out:
             for first in range(0, ref.stripe_count, per_batch or 1):
                 stripes = min(per_batch, ref.stripe_count - first)
-                n = stripes * rows  # lanes per column
-                for c in info:
-                    _read_into(shards[c], lanes[c][:n], lane_width)
-                if missing:
-                    cells = {c: _deal(lanes[c][:n], rows) for c in info}
-                    for c in parity:
-                        _read_into(shards[c], parity_lanes[c][:n], lane_width)
-                        cells[c] = parity_cells[c]
+                for c in read:
+                    _read_into(shards[c], lanes[c : stripes * rows * stride : stride], lane_width)
+                if degraded:
                     arr = _batch_array(params, lane_width, stripes, cells)
                     decode(arr, pattern)
-                    # Row by row, in lists small enough for Python's own
-                    # allocator: a list of all of a column's lanes would come
-                    # from glibc, whose heap then gets trimmed and regrown by
-                    # the next batch's decode, a page fault per page.
                     for f in lost_info:
                         for r, cell in enumerate(arr.column(f)):
-                            readinto = io.BytesIO(cell).readinto
-                            for lane in lanes[f][r:n:rows]:
-                                readinto(lane)
-                size = min(left, n * k * lane_width)
-                out.write(buf[:size])
+                            cells[r * stride + f][: len(cell)] = cell
+                size = min(left, stripes * rows * k * lane_width)
+                full, rest = divmod(size, out_width)
+                _write_all(out.fileno(), out_views[:full], out_width)
+                if rest:
+                    _write_all(out.fileno(), [out_views[full][:rest]], rest)
                 left -= size
+        with suppress(FileNotFoundError):
+            os.chmod(temp, stat.S_IMODE(os.stat(output).st_mode))
         os.replace(temp, output)
     except BaseException:
         temp.unlink(missing_ok=True)

@@ -214,6 +214,26 @@ class TestEncodeDecode:
         assert repr(str(out_file)) in err and ".tmp" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 
+    @pytest.mark.skipif(not hasattr(os, "writev"), reason="needs os.writev")
+    @pytest.mark.parametrize("lost", [(), (0, 2)], ids=["healthy", "degraded"])
+    def test_output_write_that_writes_nothing(self, capsys, tmp_path, rng, monkeypatch,
+                                              lost):
+        src = tmp_path / "file.bin"
+        src.write_bytes(rng.randbytes(1000))
+        shards = tmp_path / "shards"
+        run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+            "--lane-width", "16", str(src), str(shards))
+        for c in lost:
+            shard_path(shards, c).unlink()
+        monkeypatch.setattr(os, "writev", lambda fd, buffers: 0)
+        out_file = tmp_path / "o.bin"
+        code, out, err = run(capsys, "decode", str(shards), str(out_file))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "wrote nothing" in err
+        assert not out_file.exists()
+        assert not list(tmp_path.rglob("*.tmp"))
+
     def test_rejected_shards_are_named(self, capsys, tmp_path, rng):
         src = tmp_path / "file.bin"
         src.write_bytes(rng.randbytes(1000))

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import errno
 import hashlib
 import itertools
 import os
@@ -301,6 +302,55 @@ def test_short_readv_is_finished(tmp_path, rng, monkeypatch):
     roundtrip_every_loss(tmp_path, src, shards)
 
 
+
+@pytest.mark.skipif(not hasattr(os, "writev"), reason="needs os.writev")
+def test_short_writev_is_finished(tmp_path, rng, monkeypatch):
+    # Shards, and reads whose output is written from lanes when a column
+    # is lost, come out the same through calls that stop inside a lane.
+    src, plain = encoded(tmp_path, rng, PER_BATCH * STRIPE + 5000, lane_width=LANE)
+    real_writev = os.writev
+
+    def trickle(fd, buffers):
+        """At most 1000 bytes per call."""
+        views, left = [], 1000
+        for buffer in buffers:
+            views.append(memoryview(buffer)[:left])
+            if not (left := left - len(views[-1])):
+                break
+        return real_writev(fd, views)
+
+    monkeypatch.setattr(os, "writev", trickle)
+    shards = tmp_path / "trickled"
+    shard_file(src, PRM, shards, lane_width=LANE)
+    assert shard_bytes(shards) == shard_bytes(plain)
+    roundtrip_every_loss(tmp_path, src, shards)
+
+
+@pytest.mark.skipif(not hasattr(os, "writev"), reason="needs os.writev")
+def test_writev_that_writes_nothing_raises_eio(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "writev", lambda fd, buffers: 0)
+    with open(tmp_path / "f", "wb", buffering=0) as fh, pytest.raises(OSError) as info:
+        shardio._write_all(fh.fileno(), [b"abc", b"def"], 3)
+    assert info.value.errno == errno.EIO
+
+
+def test_zero_stripe_set_compiles_and_allocates_nothing(tmp_path):
+    # The headers ask for 2**21 rows, and information column 0 is lost: a
+    # read of 0 stripes must neither compile that decode program nor build
+    # buffers sized by the header.
+    for c in (1, 2, 3):
+        header = ShardHeader(shardio.VERSION, 2**20, 3, 2, c, LANE, 0, 0)
+        shard_path(tmp_path, c).write_bytes(header.pack())
+    out = tmp_path / "out.bin"
+    tracemalloc.start()
+    try:
+        assert reconstruct(tmp_path, out) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == b""
+    assert peak < 2**20
+
 def peak_bytes(tmp_path, batches):
     """tracemalloc peak of sharding a file of `batches` batches and reading
     it back with two information columns lost."""
@@ -416,6 +466,36 @@ class TestFailedRead:
         monkeypatch.setattr(shardio, "_open_shards", open_then_shrink)
         self.check(tmp_path, shards, HeaderMismatch, match=rf"shard_{short}\.eof ended early")
 
+
+
+class TestOutputMode:
+    """A read gives an output it replaces that output's permission bits,
+    and a new output those of a new file."""
+
+    def test_existing_output_keeps_its_mode(self, tmp_path, rng):
+        src, shards = encoded(tmp_path, rng, 1000)
+        out = tmp_path / "out.bin"
+        out.write_bytes(b"previous contents")
+        out.chmod(0o600)
+        old = os.umask(0o022)
+        try:
+            reconstruct(shards, out)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(out.stat().st_mode) == 0o600
+        assert sha(out) == sha(src)
+
+    def test_new_output_mode_is_that_of_a_new_file(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 1000)
+        old = os.umask(0o027)
+        try:
+            (tmp_path / "reference").write_bytes(b"")
+            reconstruct(shards, tmp_path / "out.bin")
+        finally:
+            os.umask(old)
+        want = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+        assert want == 0o640
+        assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == want
 
 class TestMalformedShards:
     def test_truncated_shard_is_an_erasure(self, tmp_path, rng):
