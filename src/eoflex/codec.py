@@ -6,7 +6,10 @@ that row.  Diagonal parity (column k+1) of row i is the XOR of the cells
 b[i-j, j] for j = 0..k-1 (subscripts mod tau*p, virtual rows skipped),
 plus the common bit S[i mod t] for the first n_c rows.  The common bit
 S[mu] is the XOR of the cells b[tau*(p-1)+mu-j, j] for j = 1..k-1; the
-term is real exactly when mu < j.
+term is real exactly when mu < j.  `CodeParams.common_bit` and
+`common_source` are the one statement of that rule.  Each equation is
+stated once, in `compute_common_bits`, `row_sum` and `diagonal_sum`, and
+shared with the decoders, which skip their erased columns.
 
 The rules run once per parameter set, on symbolic cells, and are compiled
 into an XOR program (see `program`); `encode` converts each information
@@ -34,33 +37,43 @@ from .errors import ParityColumnNotUpdatable
 from .params import CodeParams
 from .program import CACHE_SIZE, Builder, Program
 
-CommonBits = list  # list of t value ids
+CommonBits = list  # list of t value ids, None for an empty sum
 
 
 def common_bit_participants(params: CodeParams, mu: int) -> list[tuple[int, int]]:
     """Real cells feeding common bit mu: (row, column) pairs, column > mu."""
-    rows = params.rows
+    return [(params.common_source(mu, j), j) for j in range(mu + 1, params.k)]
+
+
+def compute_common_bits(b: Builder, skip=()) -> CommonBits:
+    """The t common bits, each the XOR of its participants outside the
+    columns in `skip`; None for a bit with no participant left."""
+    p = b.params
     return [
-        ((rows + mu - j) % params.ring, j)
-        for j in range(mu + 1, params.k)
+        b.xor_cells((i, j) for i, j in common_bit_participants(p, mu) if j not in skip)
+        for mu in range(p.t)
     ]
 
 
-def compute_common_bits(b: Builder) -> CommonBits:
-    """XOR up the t common bits from the information columns."""
+def row_sum(b: Builder, i: int, cells=(), skip=()) -> int:
+    """Row-parity equation i: the XOR of `cells` and the information cells
+    of row i outside the columns in `skip`.  The encoder passes neither; a
+    decoder passes the row-parity cell and its erased columns, and gets
+    the XOR of the erased cells of the row."""
+    return b.xor_cells([*cells, *((i, j) for j in range(b.params.k) if j not in skip)])
+
+
+def diagonal_sum(b: Builder, i: int, s: CommonBits, cells=(), skip=()) -> int:
+    """Diagonal-parity equation i: the XOR of `cells`, the real cells
+    (i-j, j) outside the columns in `skip`, column 0 first, and the common
+    bit in `s` that row i carries (`CodeParams.common_bit`), unless that
+    entry is None.  The encoder passes neither `cells` nor `skip`; a
+    decoder passes the diagonal-parity cell and its erased columns."""
     p = b.params
-    return [b.xor_cells(common_bit_participants(p, mu)) for mu in range(p.t)]
-
-
-def diagonal_terms(params: CodeParams, i: int, skip=()) -> list[tuple[int, int]]:
-    """Real cells of diagonal i outside the columns in `skip`: (row, column)
-    pairs with row < rows, the column-0 term first."""
-    terms = []
-    for j in range(params.k):
-        r = (i - j) % params.ring
-        if r < params.rows and j not in skip:
-            terms.append((r, j))
-    return terms
+    terms = [(r, j) for j in range(p.k) if j not in skip and (r := (i - j) % p.ring) < p.rows]
+    acc = b.xor_cells([*cells, *terms])
+    mu = p.common_bit(i)
+    return acc if mu is None else b.xor_values([s[mu]], acc)
 
 
 def parity_columns(b: Builder, columns) -> dict[int, list[int]]:
@@ -69,16 +82,10 @@ def parity_columns(b: Builder, columns) -> dict[int, list[int]]:
     p = b.params
     out = {}
     if p.k in columns:
-        out[p.k] = [b.xor_cells((i, j) for j in range(p.k)) for i in range(p.rows)]
+        out[p.k] = [row_sum(b, i) for i in range(p.rows)]
     if p.k + 1 in columns:
         s = compute_common_bits(b)
-        diag = []
-        for i in range(p.rows):
-            acc = b.xor_cells(diagonal_terms(p, i))
-            if i < p.n_c:
-                acc = b.xor(acc, s[i % p.t])
-            diag.append(acc)
-        out[p.k + 1] = diag
+        out[p.k + 1] = [diagonal_sum(b, i, s) for i in range(p.rows)]
     return out
 
 

@@ -1,12 +1,14 @@
 """Erasure recovery for any one or two erased columns.
 
-Single-column and column+parity erasures reduce to straightforward parity
-inversion.  Two erased information columns f < g are recovered by a chain
-chaser over the subscript ring Z_{tau*p}: after subtracting the surviving
-columns from both parity columns, each row-parity row links the two erased
-cells of one row, each diagonal-parity row links cells g-f apart (plus a
-reduced common bit on the first n_c rows), and walks of stride g-f thread
-those links together.  Three facts drive the walk:
+Every recovery reads the parity equations of `codec` with its erased
+columns skipped, which leaves the XOR of the erased terms, and reads the
+common-bit rule off `CodeParams`.  Single-column and column+parity
+erasures invert one parity column.  Two erased information columns f < g
+are recovered by a chain chaser over the subscript ring Z_{tau*p}: each
+row-parity row links the two erased cells of one row, each
+diagonal-parity row links cells g-f apart (plus the reduced common bit
+the row carries), and walks of stride g-f thread those links together.
+Three facts drive the walk:
 
   * virtual positions (>= tau*(p-1)) are known zero and anchor chains;
   * the XOR of all 2*tau*(p-1) parity lanes equals the XOR of the common
@@ -16,28 +18,21 @@ those links together.  Three facts drive the walk:
 
 When plain propagation stalls, a telescoping seed (the XOR of a run of
 diagonal syndromes, the row syndromes between them, and optionally the
-common-bit sum) isolates a single unknown.  Every variable (the cells of
-both columns and the reduced common bits) lives in one store, None until
-solved, and every rule is one equation over it, solved by one step once it
-has a single unknown; if the engine exhausts every rule with cells still
-unknown it raises ChainStall rather than returning garbage.
+common-bit sum) isolates a single unknown.  If no rule makes progress
+with cells still unknown, the chaser raises ChainStall rather than
+returning garbage (see `_PairEngine`).
 
-The rules run on symbolic cells (see `program`): `decoding_program` runs
-them once per (params, erased columns) and keeps the compiled XOR program,
-with the XOR count of each phase, in a bounded cache.  That one program
-restores every erased column: the information columns, then a lost parity
-column re-encoded from them, as the paper rebuilds a failed parity disk.
-`decode` converts each cell the program reads to an int once, runs it as
-a flat loop over lanes of any width (the cells of many stripes
-concatenated) and converts only the restored cells back to bytes; a loss
+`decoding_program` runs the rules once per (params, erased columns), on
+symbolic cells (see `program`), and keeps the compiled program, with the
+XOR count of each phase, in a bounded cache.  That one program restores
+every erased column: the information columns, then a lost parity column
+re-encoded from them, as the paper rebuilds a failed parity disk; a loss
 of parity columns alone is an `encode`.  A two-information program runs
 in two stages, `build_syndromes` and the chain of `decode_two_info`; they
-and `encode` are called through their module-level names, so a traced run
-can time each apart.  The chain chaser's rank check and its common-bit
-consistency check happen at compile time; the latter raises ChainStall
-when its two sides combine different cells (see `Builder.check`).
-`decode` adds the XOR counts of the program it runs to a
-`metrics.DecodeTally`, when given one.
+and `encode` are called through their module-level names, so a traced
+run can time each apart.  The chaser's common-bit consistency check is
+settled at compile time (see `Builder.check`).  `decode` adds the XOR
+counts of the program it runs to a `metrics.DecodeTally`, when given one.
 """
 
 from __future__ import annotations
@@ -48,8 +43,8 @@ import math
 from dataclasses import dataclass
 
 from .codearray import CodeArray, ErasurePattern
-from .codec import (common_bit_participants, diagonal_terms, encode, encoding_program,
-                    parity_columns)
+from .codec import (compute_common_bits, diagonal_sum, encode, encoding_program,
+                    parity_columns, row_sum)
 from .errors import (
     ChainStall,
     DiagParityMissing,
@@ -64,8 +59,8 @@ from .program import CACHE_SIZE, ZERO, Builder, Program
 class SyndromePair:
     """Reduced two-column syndromes: row_syn[i] is the XOR of the two
     erased cells of row i; diag_syn[i] additionally carries the reduced
-    common bit on rows below the common-row threshold.  Entries are value
-    ids of a Builder."""
+    common bit of the row, if it carries one.  Entries are value ids of a
+    Builder."""
 
     f: int
     g: int
@@ -83,28 +78,6 @@ def sum_common_bits(b: Builder) -> int:
     return b.xor_cells((i, c) for c in (p.k, p.k + 1) for i in range(p.rows))
 
 
-def _row_syndrome(b: Builder, i: int, skip) -> int:
-    """Row parity i minus the surviving information cells of row i: the
-    XOR of the row's cells in the columns of `skip`."""
-    p = b.params
-    return b.xor_cells([(i, p.k)] + [(i, j) for j in range(p.k) if j not in skip])
-
-
-def _diag_syndrome(b: Builder, i: int, skip) -> int:
-    """Diagonal parity i minus its surviving diagonal terms; the common
-    bit, on the first n_c rows, is left in."""
-    p = b.params
-    return b.xor_cells([(i, p.k + 1)] + diagonal_terms(p, i, skip))
-
-
-def _reduced_common_surviving(b: Builder, mu: int, skip) -> int | None:
-    """XOR of the surviving participants of common bit mu (columns outside
-    `skip`), or None when no participant survives."""
-    return b.xor_cells(
-        (r, j) for r, j in common_bit_participants(b.params, mu) if j not in skip
-    )
-
-
 def pair_syndromes(b: Builder, f: int, g: int) -> SyndromePair:
     """Subtract all surviving contributions from both parity columns.
 
@@ -114,14 +87,9 @@ def pair_syndromes(b: Builder, f: int, g: int) -> SyndromePair:
     p = b.params
     skip = (f, g)
     b.phase = "reduce"
-    row_syn = [_row_syndrome(b, i, skip) for i in range(p.rows)]
-    reduced_s = [_reduced_common_surviving(b, mu, skip) for mu in range(p.t)]
-    diag_syn: list[int] = []
-    for i in range(p.rows):
-        acc = _diag_syndrome(b, i, skip)
-        if i < p.n_c and reduced_s[i % p.t] is not None:
-            acc = b.xor(acc, reduced_s[i % p.t])
-        diag_syn.append(acc)
+    row_syn = [row_sum(b, i, [(i, p.k)], skip) for i in range(p.rows)]
+    reduced_s = compute_common_bits(b, skip)
+    diag_syn = [diagonal_sum(b, i, reduced_s, [(i, p.k + 1)], skip) for i in range(p.rows)]
 
     b.phase = "sum_common"
     sum_s = sum_common_bits(b)
@@ -138,8 +106,8 @@ class _PairEngine:
     common bits ("S", mu).  A variable holds None while unknown and ZERO
     when known to be zero: the virtual positions, and the common bits with
     no real participant.  Every rule is one equation, a key list whose
-    variables XOR to its syndrome terms: row i, diagonal i (with its common
-    bit below n_c), each common-bit definition, the common-bit sum and each
+    variables XOR to its syndrome terms: row i, diagonal i (with the common
+    bit it carries), each common-bit definition, the common-bit sum and each
     telescope.  An equation with exactly one unknown solves it as the XOR
     of the syndrome terms and the known non-zero variables.  The rule
     schedule is data independent, so XOR counts depend only on the
@@ -147,33 +115,27 @@ class _PairEngine:
     """
 
     def __init__(self, b: Builder, syn: SyndromePair):
-        p = b.params
-        self.p = p
-        self.b = b
-        self.syn = syn
-        self.f = syn.f
-        self.g = syn.g
-        self.d = syn.g - syn.f
+        p = self.p = b.params
+        self.b, self.syn = b, syn
+        self.f, self.g, self.d = syn.f, syn.g, syn.g - syn.f
         self.val: dict[tuple[str, int], int | None] = {}
         for pos in range(p.ring):
             self.val["F", pos] = self.val["G", pos] = None if pos < p.rows else ZERO
-        # S[mu] = F[rows+mu-f] ^ G[rows+mu-g]; zero when both are virtual.
+        # S[mu] is the XOR of its sources in columns f and g; zero when
+        # both are virtual.
         self.links = [
-            [("S", mu), ("F", (p.rows + mu - self.f) % p.ring),
-             ("G", (p.rows + mu - self.g) % p.ring)]
+            [("S", mu), ("F", p.common_source(mu, self.f)), ("G", p.common_source(mu, self.g))]
             for mu in range(p.t)
         ]
         for s, *parts in self.links:
             self.val[s] = ZERO if all(self.val[key] == ZERO for key in parts) else None
         self.row_eqs = [([("F", i), ("G", i)], [syn.row_syn[i]]) for i in range(p.rows)]
-        self.diag_eqs = [
-            (
-                [("F", (i - self.f) % p.ring), ("G", (i - self.g) % p.ring)]
-                + ([("S", i % p.t)] if i < p.n_c else []),
-                [syn.diag_syn[i]],
-            )
-            for i in range(p.rows)
-        ]
+        self.diag_eqs = []
+        for i in range(p.rows):
+            keys = [("F", (i - self.f) % p.ring), ("G", (i - self.g) % p.ring)]
+            if (mu := p.common_bit(i)) is not None:
+                keys.append(("S", mu))
+            self.diag_eqs.append((keys, [syn.diag_syn[i]]))
         self.commons = [("S", mu) for mu in range(p.t)]
         self._did_stride_seeds = False
 
@@ -256,12 +218,9 @@ class _PairEngine:
         diagonals = [(a + step * self.d) % p.ring for step in range(length)]
         if any(i >= p.rows for i in diagonals):
             return False
-        odd = [False] * p.t
-        for i in diagonals:
-            if i < p.n_c:
-                odd[i % p.t] ^= True
+        commons = [p.common_bit(i) for i in diagonals]
         for use_sum in (False, True):
-            keys = [("S", mu) for mu in range(p.t) if odd[mu] != use_sum] + cells
+            keys = [("S", mu) for mu in range(p.t) if commons.count(mu) % 2 != use_sum] + cells
             if self._pending(keys):
                 rhs = [self.syn.diag_syn[i] for i in diagonals] + [
                     self.syn.row_syn[pos]
@@ -340,7 +299,7 @@ def decode_info_via_row_parity(b: Builder, f: int) -> list[int]:
     p = b.params
     if p.k in b.erased:
         raise RowParityMissing("row-parity column is erased")
-    return [_row_syndrome(b, i, (f,)) for i in range(p.rows)]
+    return [row_sum(b, i, [(i, p.k)], (f,)) for i in range(p.rows)]
 
 
 def decode_info_with_diag_parity(b: Builder, f: int) -> list[int]:
@@ -351,7 +310,10 @@ def decode_info_with_diag_parity(b: Builder, f: int) -> list[int]:
     and each diagonal row inverts directly.  For f >= 1 the rows f-1 down
     to max(0, f-t) of the diagonal column each pin one column-f common-bit
     participant (their direct diagonal term is virtual), after which all
-    common bits are known and the remaining rows invert.
+    common bits are known and the remaining rows invert.  These seed rows
+    still assume that each row i below t carries S[i], as the rule of
+    `CodeParams.common_bit` has it; a rule that breaks that must revisit
+    them.
     """
     p = b.params
     if p.k + 1 in b.erased:
@@ -359,30 +321,24 @@ def decode_info_with_diag_parity(b: Builder, f: int) -> list[int]:
     skip = (f,)
     # Common bits from their surviving participants; the column-f one (real
     # exactly when mu < f) is XORed in as the seed rows recover it.
-    s = [_reduced_common_surviving(b, mu, skip) for mu in range(p.t)]
+    s = compute_common_bits(b, skip)
     known: dict[int, int] = {}
     seed_rows = range(f - 1, max(0, f - p.t) - 1, -1)
     for i in seed_rows:
         # Diagonal term of column f at row i is virtual here (i - f lands
         # in the virtual band), so the only unknown is the participant.
-        mu = i % p.t
-        cell = b.xor_values([_diag_syndrome(b, i, skip), s[mu]])
-        known[(p.rows + mu - f) % p.ring] = cell
+        mu = p.common_bit(i)
+        cell = diagonal_sum(b, i, s, [(i, p.k + 1)], skip)
+        known[p.common_source(mu, f)] = cell
         s[mu] = b.xor_values([s[mu], cell])
 
     for i in range(p.rows):
         r = (i - f) % p.ring
-        if i in seed_rows or r >= p.rows:
-            continue
-        acc = _diag_syndrome(b, i, skip)
-        if i < p.n_c:
-            acc = b.xor(acc, s[i % p.t])
-        known[r] = acc
+        if r < p.rows:  # false on the seed rows: their column-f term is virtual
+            known[r] = diagonal_sum(b, i, s, [(i, p.k + 1)], skip)
 
     if len(known) != p.rows:
-        raise ChainStall(
-            f"diagonal recovery of column {f} left {p.rows - len(known)} cells"
-        )
+        raise ChainStall(f"diagonal recovery of column {f} left {p.rows - len(known)} cells")
     return [known[i] for i in range(p.rows)]
 
 

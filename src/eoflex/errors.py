@@ -121,3 +121,8 @@ class CrcFailure(ShardError):
 
 class UnsupportedVersion(ShardError):
     """A shard header whose format version this reader does not know."""
+
+
+class ShardInUse(ShardError):
+    """An encode whose input is a shard file it would overwrite or remove,
+    or a decode whose output is one of the shards it reads."""

@@ -4,9 +4,12 @@ erasure decoding, and exact proofs of the compiled programs.
 The generator is a literal transcription of the parity definitions into a
 dense bit matrix (rows packed into Python ints, one bit per information
 position), so it shares no code with the lane encoder; the test suite
-cross-checks the two.  Bit order: position index = column*rows + row for
-array cell (row, column), information cells first -- the top k*rows rows
-of the generator are the identity.
+cross-checks the two.  It writes out the common-bit rule itself, on
+purpose, rather than read `CodeParams.common_bit`: it is the reference
+that rule and the compiled programs are proven against.  Bit order:
+position index = column*rows + row for array cell (row, column),
+information cells first -- the top k*rows rows of the generator are the
+identity.
 
 `rank_check` names the column pairs no decoder can recover.  For the
 others, `check_program` proves a compiled encode or decode program exact

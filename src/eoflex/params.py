@@ -8,6 +8,11 @@ subscripts live in the ring Z_{tau*p}.  Validation enforces:
   * every divisor of p other than 1 exceeds k-1 (checked by trial
     division up to sqrt(p));
   * the common-bit row count n_c fits in the array.
+
+Validation does not imply MDS.  Some accepted sets have a column pair no
+decoder can recover, or one the chain decoder cannot: tests/test_sweep.py
+pins both over 72 sets, `shardio.shard_file` refuses to write such a set,
+and `eoflex verify` names each pair and says which kind it is.
 """
 
 from __future__ import annotations
@@ -60,6 +65,18 @@ class CodeParams:
     def __str__(self) -> str:
         return f"({self.tau},{self.p},{self.k})"
 
+    def common_bit(self, i: int) -> int | None:
+        """The common bit that diagonal-parity row i carries, or None: the
+        first n_c rows carry S[i mod t].  This is the one statement of the
+        rule; the encoder and every decoder read it here."""
+        return i % self.t if i < self.n_c else None
+
+    def common_source(self, mu: int, j: int) -> int:
+        """The ring row of column j that feeds common bit S[mu]: the cell
+        on the diagonal that ends at virtual row rows+mu.  It is virtual
+        (known zero) when j <= mu."""
+        return (self.rows + mu - j) % self.ring
+
 
 def _threshold(k: int, t: int, regime: Regime) -> int:
     # For t == 1 the construction must add its single common bit to the
@@ -90,7 +107,8 @@ def validate_params(tau: int, p: int, k: int) -> CodeParams:
     """Validate a parameter triple and derive all dependent quantities.
 
     Total over integer triples: returns a CodeParams or raises exactly one
-    ParameterError subclass identifying the first failed requirement.
+    ParameterError subclass identifying the first failed requirement.  A
+    set that passes need not be MDS (see the module docstring).
     """
     if tau < 1:
         raise NonPositiveTau(f"tau must be >= 1, got {tau}")

@@ -84,6 +84,7 @@ from .errors import (
     CrcFailure,
     HeaderMismatch,
     LaneWidthOutOfRange,
+    ShardInUse,
     TooManyMissing,
     UndecodablePairs,
     UnsupportedVersion,
@@ -114,17 +115,8 @@ class ShardHeader:
     original_length: int
 
     def pack(self) -> bytes:
-        body = _HEADER.pack(
-            MAGIC,
-            self.version,
-            self.tau,
-            self.p,
-            self.k,
-            self.column_index,
-            self.lane_width,
-            self.stripe_count,
-            self.original_length,
-        )
+        body = _HEADER.pack(MAGIC, self.version, self.tau, self.p, self.k, self.column_index,
+                            self.lane_width, self.stripe_count, self.original_length)
         return body + struct.pack("<I", zlib.crc32(body))
 
     @classmethod
@@ -253,14 +245,13 @@ def _write_all(fd: int, views, width: int) -> None:
         raise OSError(errno.EIO, f"a write to fd {fd} wrote nothing")
 
 
-def _remove_stale_shards(directory: Path, k: int) -> None:
-    """Delete shard_<c>.eof for every integer c >= k+2 in `directory`: the
-    higher columns of an earlier set, which a read would take as part of
-    this one."""
-    for path in directory.iterdir():
-        match = re.fullmatch(r"shard_([1-9][0-9]*)\.eof", path.name)
-        if match and int(match[1]) >= k + 2:
-            path.unlink()
+def _stale_shards(directory: Path, k: int) -> list[Path]:
+    """shard_<c>.eof for every integer c >= k+2 in `directory`: the higher
+    columns of an earlier set, which a read would take as part of this
+    one."""
+    return [path for path in directory.iterdir()
+            if (match := re.fullmatch(r"shard_([1-9][0-9]*)\.eof", path.name))
+            and int(match[1]) >= k + 2]
 
 
 def shard_file(
@@ -286,7 +277,9 @@ def shard_file(
     that read as missing (a crash of the machine may not; see the module
     docstring).  Shard files of columns k+2 and above are removed.
     Parameters whose decoder cannot recover the loss of some column pair
-    are refused with UndecodablePairs before anything is opened."""
+    are refused with UndecodablePairs before anything is opened.  An
+    input that is one of the shard files the write would overwrite or
+    remove raises ShardInUse before any file is written or removed."""
     _check_lane_width(lane_width)
     if bad := undecodable_pairs(params):
         raise UndecodablePairs(params, bad)
@@ -300,8 +293,16 @@ def shard_file(
         if stat.S_ISREG(status.st_mode):
             per_batch = min(per_batch, max(1, -(-status.st_size // stripe_bytes)))
         cells, views, source = _batch_buffer(params, per_batch, lane_width)
+        # A directory this creates holds no file the input could be.
         outdir.mkdir(parents=True, exist_ok=True)
-        _remove_stale_shards(outdir, k)
+        stale = _stale_shards(outdir, k)
+        for path in paths + stale:
+            with suppress(FileNotFoundError):
+                if os.path.samestat(status, os.stat(path)):
+                    raise ShardInUse(f"input {input_path} is shard file {path}, which encoding "
+                                     f"into {outdir} would overwrite or remove")
+        for path in stale:
+            path.unlink()
         fds = []
         for path in paths:
             fds.append(os.open(path, os.O_RDWR | os.O_CREAT, 0o666))
@@ -426,7 +427,9 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
     file beside `output_path`, renamed into place after the last batch;
     on failure the temporary file is removed.  An `output_path` that is a
     directory, or whose directory does not exist, raises an OSError naming
-    it before any shard is read.  Returns the number of bytes written.
+    it before any shard is read; one that is a shard the read uses raises
+    ShardInUse before anything is written.  Returns the number of bytes
+    written.
     """
     output = Path(output_path)
     if output.is_dir():
@@ -435,6 +438,11 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
         raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(output))
     with ExitStack() as stack:
         ref, params, shards = _open_shards(directory, stack)
+        with suppress(FileNotFoundError):
+            status = output.stat()
+            for fh in shards.values():
+                if os.path.samestat(os.fstat(fh.fileno()), status):
+                    raise ShardInUse(f"output {output} is shard file {fh.name}, which the read uses")
         return _restore(ref, params, shards, output)
 
 

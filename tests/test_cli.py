@@ -284,6 +284,60 @@ class TestEncodeDecode:
         assert not (tmp_path / "o.bin").exists()
 
 
+class TestShardInUse:
+    """A command that would overwrite or remove a shard of the set it uses
+    is refused with one `error:` line and exit 2, and leaves the disk as
+    it was."""
+
+    PARAMS = ("--tau", "2", "--p", "5", "--k", "3")
+
+    @pytest.fixture
+    def shards(self, capsys, tmp_path, rng):
+        src = tmp_path / "file.bin"
+        src.write_bytes(rng.randbytes(300_000))
+        shards = tmp_path / "shards"
+        assert run(capsys, "encode", *self.PARAMS, str(src), str(shards))[0] == 0
+        return shards
+
+    @staticmethod
+    def disk(tmp_path):
+        return {path: path.read_bytes() for path in sorted(tmp_path.rglob("*"))
+                if path.is_file()}
+
+    def refused(self, capsys, tmp_path, *argv):
+        before = self.disk(tmp_path)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert self.disk(tmp_path) == before
+        return err
+
+    def decodes_to_the_input(self, capsys, tmp_path, shards):
+        out_file = tmp_path / "check.bin"
+        assert run(capsys, "decode", str(shards), str(out_file))[0] == 0
+        assert out_file.read_bytes() == (tmp_path / "file.bin").read_bytes()
+
+    def test_encode_of_a_shard_into_its_own_set(self, capsys, tmp_path, shards):
+        shard = shard_path(shards, 0)
+        err = self.refused(capsys, tmp_path, "encode", *self.PARAMS, str(shard), str(shards))
+        assert f"input {shard} is shard file {shard}, which encoding into {shards}" in err
+        self.decodes_to_the_input(capsys, tmp_path, shards)
+
+    def test_encode_of_an_input_that_stale_removal_would_delete(self, capsys, tmp_path, shards):
+        stale = shard_path(shards, 7)
+        stale.write_bytes((tmp_path / "file.bin").read_bytes())
+        err = self.refused(capsys, tmp_path, "encode", *self.PARAMS, str(stale), str(shards))
+        assert f"input {stale} is shard file {stale}" in err
+
+    def test_decode_over_a_shard_it_reads(self, capsys, tmp_path, shards):
+        shard_path(shards, 1).unlink()
+        shard_path(shards, 4).unlink()
+        output = shard_path(shards, 0)
+        err = self.refused(capsys, tmp_path, "decode", str(shards), str(output))
+        assert f"output {output} is shard file {output}, which the read uses" in err
+        self.decodes_to_the_input(capsys, tmp_path, shards)
+
+
 @pytest.mark.skipif(resource is None, reason="needs resource.RLIMIT_AS")
 class TestUnallocatableBatch:
     """A lane width whose batch buffer the process cannot allocate gives one

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from conftest import ACCEPTANCE_SETS, deficient_pairs
+from eoflex.baseline import evenodd_params
 from eoflex.codearray import CodeArray
 from eoflex.codec import encode
 from eoflex.errors import Underdetermined
@@ -110,3 +111,28 @@ class TestRankCheck:
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
     def test_matches_known_gaps(self, triple):
         assert rank_check(validate_params(*triple)) == deficient_pairs(triple)
+
+
+class TestCommonBitRule:
+    """`CodeParams.common_bit` and `common_source`, the rule the encoder
+    and decoders read, against the generator's own transcription: each
+    diagonal-parity row, less its bare diagonal, is the common bit the row
+    carries, as the mask of that bit's real sources."""
+
+    PARAMS = {str(validate_params(*triple)): validate_params(*triple)
+              for triple in ACCEPTANCE_SETS}
+    PARAMS |= {f"evenodd{(p, k)}": evenodd_params(p, k) for p, k in [(5, 3), (7, 4)]}
+
+    @pytest.mark.parametrize("name", PARAMS)
+    def test_matches_the_generator(self, name):
+        prm = self.PARAMS[name]
+        g = generator_matrix(prm)
+        rows, k = prm.rows, prm.k
+        for i in range(rows):
+            diagonal = sum(1 << (j * rows + r) for j in range(k)
+                           if (r := (i - j) % prm.ring) < rows)
+            mu = prm.common_bit(i)
+            common = 0 if mu is None else sum(
+                1 << (j * rows + r) for j in range(k)
+                if (r := prm.common_source(mu, j)) < rows)
+            assert g.bits[(k + 1) * rows + i] ^ diagonal == common, (i, mu)
