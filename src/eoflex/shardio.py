@@ -51,17 +51,18 @@ more columns, are removed.
 A read with every column present reuses one output buffer in the
 source's order, reads each information shard straight into that column's
 lanes of it with `os.readv` and writes it with one call per batch, so it
-only moves bytes.  A read with a column lost uses the batch buffer of a
-write instead: each shard the decode program reads is loaded into its
-column's lanes with `os.readv`, `decode` converts each cell to an int at
-most once (see `decoder`) and restores the lost columns, each recovered
-information cell is copied into its cell, and the information lanes are
-written with `os.writev`, the mirror image of a write.  Healthy reads keep
-their own buffer because one `write` of it is faster than `os.writev` of
-its lanes.  The output is written to a temporary file beside it, which
-takes the permission bits of an output it replaces and is renamed into
-place after the last batch, so a failed read leaves an existing output
-untouched.
+only moves bytes.  A read with a column lost uses a cell-major buffer
+laid out as a write's instead, with lane views of only the columns it
+reads and of the information columns: each shard the decode program
+reads is loaded into its column's lanes with `os.readv`, `decode`
+converts each cell to an int at most once (see `decoder`) and restores
+the lost columns, each recovered information cell is copied into its
+cell, and the information lanes are written with `os.writev`, the mirror
+image of a write.  Healthy reads keep their own buffer because one
+`write` of it is faster than `os.writev` of its lanes.  The output is
+written to a temporary file beside it, which takes the permission bits
+of an output it replaces and is renamed into place after the last batch,
+so a failed read leaves an existing output untouched.
 """
 
 from __future__ import annotations
@@ -459,32 +460,39 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
     With every column present, one output buffer in the source's order
     serves every batch: each information shard is read straight into its
     lanes (`_read_into`), and the buffer, cut at the original length, is
-    written with one call.  With a column lost, the batch buffer of a
-    write serves instead (`_batch_buffer`): each shard the decode needs is
-    read into its column's lanes, `decode` restores the lost columns of
-    the batch's CodeArray, each recovered information cell is copied into
-    its cell, and the information lanes, cut at the original length, are
-    written with os.writev, the mirror image of a write.  A set of 0
-    stripes compiles no program and allocates no buffer.  A buffer this
-    process cannot allocate raises LaneWidthOutOfRange before the output is
-    created.  The output keeps the permission bits of a file it replaces."""
+    written with one call.  With a column lost, a buffer laid out as a
+    write's serves instead (see `_batch_buffer`), with lane views of only
+    the columns read and the information columns: each shard the decode
+    needs is read into its column's lanes, `decode` restores the lost
+    columns of the batch's CodeArray, each recovered information cell is
+    copied into its cell, and the information lanes, cut at the original
+    length, are written with os.writev, the mirror image of a write.  A
+    set of 0 stripes compiles no program and allocates no buffer.  A
+    buffer this process cannot allocate raises LaneWidthOutOfRange before
+    the output is created.  The output keeps the permission bits of a file
+    it replaces."""
     k, rows, lane_width = params.k, params.rows, ref.lane_width
     missing = [c for c in range(k + 2) if c not in shards]
     degraded = bool(missing) and ref.stripe_count > 0
     read = [c for c in range(k) if c in shards]
     per_batch = min(_stripes_per_batch(params, lane_width), ref.stripe_count)
-    # Column c's lanes are lanes[c::stride]; out_views of out_width bytes hold the output.
+    # columns[c] holds column c's lanes in shard order; out_views of out_width bytes the output.
     if degraded:
         pattern = ErasurePattern(frozenset(missing))
         lost_info = [c for c in missing if c < k]
         if lost_info:
             read += sorted(decoding_program(params, pattern.erased).columns - set(range(k)))
-        cells, lanes, out_views = _batch_buffer(params, per_batch, lane_width)
-        stride, out_width = k + 2, lane_width
+        n = k + 2
+        cells = _cell_buffer(rows * n, per_batch * lane_width, lane_width)
+        # Lanes only of the columns read and of the information columns written.
+        columns = {c: _lanes(cells[c::n], lane_width) for c in {*range(k), *read}}
+        out_views = [v for lanes in zip(*(columns[j] for j in range(k))) for v in lanes]
+        out_width = lane_width
     else:
         (buf,) = _cell_buffer(1, k * rows * per_batch * lane_width, lane_width)
-        lanes, out_views = _lanes([buf], lane_width), [buf]
-        stride, out_width = k, len(buf)
+        lanes = _lanes([buf], lane_width)
+        columns = {c: lanes[c::k] for c in read}
+        out_views, out_width = [buf], len(buf)
     temp = output.parent / f".{output.name}.{secrets.token_hex(4)}.tmp"
     left = ref.original_length
     try:
@@ -492,13 +500,13 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
             for first in range(0, ref.stripe_count, per_batch or 1):
                 stripes = min(per_batch, ref.stripe_count - first)
                 for c in read:
-                    _read_into(shards[c], lanes[c : stripes * rows * stride : stride], lane_width)
+                    _read_into(shards[c], columns[c][: stripes * rows], lane_width)
                 if degraded:
                     arr = _batch_array(params, lane_width, stripes, cells)
                     decode(arr, pattern)
                     for f in lost_info:
                         for r, cell in enumerate(arr.column(f)):
-                            cells[r * stride + f][: len(cell)] = cell
+                            cells[r * n + f][: len(cell)] = cell
                 size = min(left, stripes * rows * k * lane_width)
                 full, rest = divmod(size, out_width)
                 _write_all(out.fileno(), out_views[:full], out_width)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import eoflex
-from eoflex.cli import main
+from eoflex.cli import build_parser, main
 from eoflex.shardio import HEADER_SIZE, ShardHeader, shard_path
 
 try:
@@ -282,6 +283,76 @@ class TestEncodeDecode:
         assert err.startswith(expected.format(s=shards))
         assert err.count("\n") == 1
         assert not (tmp_path / "o.bin").exists()
+
+
+def add_parser_calls(monkeypatch):
+    """The names every subparser is built under from now on, in order."""
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    return calls
+
+
+class TestLeanParser:
+    """`main` builds only the subparser its first word names, and all four
+    when that word names none; what either parser prints, and its exit
+    status, are the same."""
+
+    ARGVS = [
+        [], ["-h"], ["frob"],
+        ["decode"], ["decode", "-h"], ["decode", "a", "b", "c"],
+        ["encode", "-h"], ["encode", "--tau", "x", "a", "b"],
+        ["verify", "--tau", "2"],
+        ["bench", "-h"], ["bench", "--csv"],
+    ]
+
+    @staticmethod
+    def parse(capsys, parser, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(argv)
+        out, err = capsys.readouterr()
+        return out, err, exit_info.value.code
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
+    def test_same_output_as_the_full_parser(self, capsys, argv):
+        lean = self.parse(capsys, build_parser(argv[0] if argv else None), argv)
+        assert lean == self.parse(capsys, build_parser(), argv)
+
+    def test_no_arguments_names_the_missing_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([])
+        out, err = capsys.readouterr()
+        assert (out, exit_info.value.code) == ("", 2)
+        assert err.endswith("error: the following arguments are required: command\n")
+
+    def test_help_ends_its_description_where_the_docstring_turns_to_the_code(self, capsys):
+        out, _, code = self.parse(capsys, build_parser(), ["-h"])
+        assert code == 0
+        assert "diagnostic otherwise. positional arguments:" in " ".join(out.split())
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frob"]], ids=["no arguments", "-h", "frob"])
+    def test_no_command_builds_every_subparser(self, capsys, monkeypatch, argv):
+        calls = add_parser_calls(monkeypatch)
+        with pytest.raises(SystemExit):
+            main(argv)
+        capsys.readouterr()
+        assert calls == ["encode", "decode", "verify", "bench"]
+
+    def test_encode_and_decode_build_one_subparser(self, capsys, monkeypatch, tmp_path, rng):
+        src = tmp_path / "file.bin"
+        src.write_bytes(rng.randbytes(1000))
+        calls = add_parser_calls(monkeypatch)
+        code, _, _ = run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+                         str(src), str(tmp_path / "s"))
+        assert (code, calls) == (0, ["encode"])
+        code, _, _ = run(capsys, "decode", str(tmp_path / "s"), str(tmp_path / "out.bin"))
+        assert (code, calls) == (0, ["encode", "decode"])
+        assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
 
 
 class TestShardInUse:

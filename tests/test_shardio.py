@@ -351,6 +351,31 @@ def test_zero_stripe_set_compiles_and_allocates_nothing(tmp_path):
     assert out.read_bytes() == b""
     assert peak < 2**20
 
+@pytest.mark.parametrize("lost, viewed", [
+    ((3, 4), {0, 1, 2}),  # no parity is read
+    ((0,), {0, 1, 2, 3}),  # the decode reads the row parity only
+    ((0, 3), {0, 1, 2, 4}),  # the decode reads the diagonal parity
+    ((1, 2), {0, 1, 2, 3, 4}),  # the decode reads both parities
+], ids=["3+4", "0", "0+3", "1+2"])
+def test_degraded_read_views_only_the_columns_it_uses(tmp_path, rng, monkeypatch, lost, viewed):
+    # Lane views are built for the information columns, which the output
+    # is written from, and for the parity columns the decode reads.
+    src, shards = encoded(tmp_path, rng, 2 * PRM.k * PRM.rows * 64 - 9)
+    for c in lost:
+        shard_path(shards, c).unlink()
+    cells = []
+    real_lanes = shardio._lanes
+
+    def counting_lanes(column_cells, lane_width):
+        cells.extend(column_cells)
+        return real_lanes(column_cells, lane_width)
+
+    monkeypatch.setattr(shardio, "_lanes", counting_lanes)
+    reconstruct(shards, tmp_path / "out.bin")
+    assert sha(tmp_path / "out.bin") == sha(src)
+    assert len(cells) == PRM.rows * len(viewed)
+
+
 def peak_bytes(tmp_path, batches):
     """tracemalloc peak of sharding a file of `batches` batches and reading
     it back with two information columns lost."""
