@@ -1,11 +1,14 @@
 """The code array: a tau*(p-1) x (k+2) grid of fixed-width byte lanes.
 
-A lane is a `bytes` block of the array's lane width; it stands in for one
-bit of the construction, with every bit position inside the lane evolving
-under the same XOR equations.  So a lane may also concatenate the same cell
-of many stripes, and one encode or decode then covers all of them.  Rows
+A lane is a block of the array's lane width; it stands in for one bit of
+the construction, with every bit position inside the lane evolving under
+the same XOR equations.  So a lane may also concatenate the same cell of
+many stripes, and one encode or decode then covers all of them.  Rows
 tau*(p-1) .. tau*p-1 of the subscript ring Z_{tau*p} are *virtual*: they
 are not stored, read as zero, and the encode and decode rules skip them.
+Each cell is a writable buffer of its own, and encode and decode write
+their outputs into the cells the array holds, so an array laid over a
+caller's buffer fills that buffer.
 """
 
 from __future__ import annotations
@@ -37,8 +40,13 @@ class CodeArray:
     """Dense row-major grid of lanes; columns 0..k-1 hold information,
     column k row parity, column k+1 diagonal parity.
 
-    Mutated only by encode/decode entry points; distinct arrays are
-    independent and may be processed in parallel.
+    Encode and decode overwrite the cells of the columns they fill.  Built
+    without `cells`, the array allocates one zeroed `bytearray` per cell;
+    given `cells` are used as they are, and must be distinct writable
+    buffers of the lane width (`bytearray`s or views of one).  `set`
+    replaces a cell with a writable copy of its value, so a lane taken
+    earlier with `get` keeps its bytes.  Distinct arrays over distinct
+    buffers are independent and may be processed in parallel.
     """
 
     params: CodeParams
@@ -49,9 +57,9 @@ class CodeArray:
         if self.lane_width < 1:
             raise ValueError(f"lane width must be >= 1, got {self.lane_width}")
         if self.cells is None:
-            z = zero_lane(self.lane_width)
             self.cells = [
-                [z] * (self.params.k + 2) for _ in range(self.params.rows)
+                [bytearray(self.lane_width) for _ in range(self.params.k + 2)]
+                for _ in range(self.params.rows)
             ]
         else:
             if len(self.cells) != self.params.rows:
@@ -71,19 +79,26 @@ class CodeArray:
     def set(self, i: int, j: int, value: Lane) -> None:
         if len(value) != self.lane_width:
             raise ValueError("lane width mismatch")
-        self.cells[i][j] = value
+        self.cells[i][j] = bytearray(value)
 
     def column(self, j: int) -> list[Lane]:
         return [self.cells[i][j] for i in range(self.params.rows)]
 
     def set_column(self, j: int, lanes: list[Lane]) -> None:
+        """Set column j to `lanes`, one per row; a lane count other than
+        `rows`, or a lane of another width, raises ValueError before any
+        cell changes."""
+        if len(lanes) != self.params.rows:
+            raise ValueError(f"column of {self.params.rows} rows given {len(lanes)} lanes")
+        if any(len(lane) != self.lane_width for lane in lanes):
+            raise ValueError("lane width mismatch")
         for i, lane in enumerate(lanes):
             self.set(i, j, lane)
 
     def copy(self) -> "CodeArray":
-        return CodeArray(
-            self.params, self.lane_width, [row[:] for row in self.cells]
-        )
+        """An array with a copy of every cell."""
+        cells = [[bytearray(lane) for lane in row] for row in self.cells]
+        return CodeArray(self.params, self.lane_width, cells)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CodeArray):
@@ -108,7 +123,7 @@ class CodeArray:
         arr = cls(params, lane_width)
         for i in range(params.rows):
             for j in range(params.k):
-                arr.cells[i][j] = rng.randbytes(lane_width)
+                arr.cells[i][j] = bytearray(rng.randbytes(lane_width))
         return arr
 
 

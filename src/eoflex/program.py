@@ -16,12 +16,12 @@ sides must combine the same cells, which makes them equal on any input, or
 compiling raises ChainStall.  A program compares nothing when it runs.
 
 Running a program converts each input cell to an int once, XORs ints in a
-flat loop and converts only the output cells back to bytes.  One program
-restores every lost column of a pattern, so no int is handed from one
-program to another.  A lane may be any width, so one run can cover many
-stripes whose cells are concatenated lane by lane.  The code is cut into
-stages where the rules asked for it, so a caller can run (and time) each
-stage on its own.
+flat loop and converts only the output cells back to bytes, which `store`
+writes into the cells the array holds.  One program restores every lost
+column of a pattern, so no int is handed from one program to another.  A
+lane may be any width, so one run can cover many stripes whose cells are
+concatenated lane by lane.  The code is cut into stages where the rules
+asked for it, so a caller can run (and time) each stage on its own.
 """
 
 from __future__ import annotations
@@ -96,12 +96,13 @@ class Program:
         return [regs[r].to_bytes(width, "little") for r in self.outputs]
 
     def store(self, regs: list[int], array, columns) -> None:
-        """Store the outputs into `columns` of `array`, one column after the
-        other, row by row."""
-        lanes = iter(self.results(regs, array.lane_width))
+        """Write the outputs into the cells of `columns` of `array`, one
+        column after the other, row by row: each output overwrites the
+        bytes of the cell the array holds, which must be writable."""
+        width, outputs = array.lane_width, iter(self.outputs)
         for c in columns:
             for row in array.cells:
-                row[c] = next(lanes)
+                row[c][:] = regs[next(outputs)].to_bytes(width, "little")
 
     def run(self, array) -> list[bytes]:
         """Evaluate the program on `array`; return the output lanes."""

@@ -29,10 +29,10 @@ IOV_MAX per call.  A write reuses one cell-major buffer for every batch
 contiguous slice.  The source is read with `os.readv` straight into the
 information cells, lane by lane in its own order; the compiled encode
 program runs once on the whole batch (`_batch_array` wraps the cells in
-one CodeArray); and each shard is written with `os.writev`, the
-information shards from views of the cells and the parity shards from
-views of the encoder's output.  The input is read to its end, so it may be
-a pipe; the headers, which record its length, are written last.
+one CodeArray) and writes the parity into the buffer's parity cells; and
+each shard is written from its column's lanes with `os.writev`.  The input
+is read to its end, so it may be a pipe; the headers, which record its
+length, are written last.
 
 A write rewrites existing shard files in place rather than truncating
 them, which on ext4 would free their blocks and force write-back on close.
@@ -51,13 +51,12 @@ more columns, are removed.
 A read with every column present reuses one output buffer in the
 source's order, reads each information shard straight into that column's
 lanes of it with `os.readv` and writes it with one call per batch, so it
-only moves bytes.  A read with a column lost uses a cell-major buffer
-laid out as a write's instead, with lane views of only the columns it
-reads and of the information columns: each shard the decode program
-reads is loaded into its column's lanes with `os.readv`, `decode`
-converts each cell to an int at most once (see `decoder`) and restores
-the lost columns, each recovered information cell is copied into its
-cell, and the information lanes are written with `os.writev`, the mirror
+only moves bytes.  A read with a column lost uses a write's cell-major
+buffer instead, with lane views of only the columns it reads and of the
+information columns: each shard the decode program reads is loaded into
+its column's lanes with `os.readv`, `decode` converts each cell to an int
+at most once (see `decoder`) and writes the lost columns into their
+cells, and the information lanes are written with `os.writev`, the mirror
 image of a write.  Healthy reads keep their own buffer because one
 `write` of it is faster than `os.writev` of its lanes.  The output is
 written to a temporary file beside it, which takes the permission bits
@@ -184,18 +183,18 @@ def _cell_buffer(cells: int, width: int, lane_width: int) -> list[memoryview]:
     return [buf[i * width : (i + 1) * width] for i in range(cells)]
 
 
-def _batch_buffer(params: CodeParams, stripes: int, lane_width: int):
+def _batch_buffer(params: CodeParams, stripes: int, lane_width: int, columns):
     """The reused buffer of a batch of up to `stripes` stripes, as (cells,
-    views, source).  `cells` are the rows*(k+2) cells of the array, each
+    lanes, source).  `cells` are the rows*(k+2) cells of the array, each
     over every stripe, one after the other: cell (r, c) at r*(k+2) + c.
-    `views` are their lanes (`_lanes`), so column c's lanes are
-    views[c::k+2] in shard order, and `source` are the information lanes
-    in the source's order.  A buffer this process cannot allocate raises
-    LaneWidthOutOfRange."""
+    `lanes[c]` are the lanes of column c (`_lanes`) in shard order, for
+    each of `columns` and each information column, and `source` are the
+    information lanes in the source's order.  A buffer this process
+    cannot allocate raises LaneWidthOutOfRange."""
     n = params.k + 2
     cells = _cell_buffer(params.rows * n, stripes * lane_width, lane_width)
-    views = _lanes(cells, lane_width)
-    return cells, views, [v for r in range(0, len(views), n) for v in views[r : r + params.k]]
+    lanes = {c: _lanes(cells[c::n], lane_width) for c in {*range(params.k), *columns}}
+    return cells, lanes, [v for row in zip(*(lanes[j] for j in range(params.k))) for v in row]
 
 
 def _batch_array(params: CodeParams, lane_width: int, stripes: int, cells) -> CodeArray:
@@ -265,18 +264,17 @@ def shard_file(
     and encoding it one batch of stripes at a time until its end.  The
     input may be a pipe, and is opened before the output directory is
     touched.  One cell-major buffer (`_batch_buffer`) serves every batch:
-    the source is read straight into its information cells, the
-    information shards are written from them and the parity shards from
-    the encoder's output, all by scatter-gather I/O.  The size of a
-    regular input only caps that buffer at the stripes the file fills;
-    batches run until the input ends whatever its size.  A buffer this
-    process cannot allocate raises LaneWidthOutOfRange before the output
-    directory is touched.  Existing shard files are rewritten in
-    place, and nothing is synced: the header is zeroed first, the payload
-    written, the file truncated at its end, and the real header, which
-    holds the length, written last, so a write that raises leaves shards
-    that read as missing (a crash of the machine may not; see the module
-    docstring).  Shard files of columns k+2 and above are removed.
+    the source is read straight into its information cells, the encoder
+    writes its parity cells, and every shard is written from its column's
+    lanes, all by scatter-gather I/O.  The size of a regular input only
+    caps that buffer at the stripes the file fills; batches run until the
+    input ends whatever its size.  A buffer this process cannot allocate
+    raises LaneWidthOutOfRange before the output directory is touched.
+    Existing shard files are rewritten in place, and nothing is synced:
+    the header is zeroed first, the payload written, the file truncated at
+    its end, and the real header, which holds the length, written last, so
+    a write that raises leaves shards that read as missing (a crash of the
+    machine may not; see the module docstring).  Shard files of columns k+2 and above are removed.
     Parameters whose decoder cannot recover the loss of some column pair
     are refused with UndecodablePairs before anything is opened.  An
     input that is one of the shard files the write would overwrite or
@@ -293,7 +291,7 @@ def shard_file(
         status = os.fstat(src.fileno())
         if stat.S_ISREG(status.st_mode):
             per_batch = min(per_batch, max(1, -(-status.st_size // stripe_bytes)))
-        cells, views, source = _batch_buffer(params, per_batch, lane_width)
+        cells, lanes, source = _batch_buffer(params, per_batch, lane_width, range(k + 2))
         # A directory this creates holds no file the input could be.
         outdir.mkdir(parents=True, exist_ok=True)
         stale = _stale_shards(outdir, k)
@@ -314,25 +312,16 @@ def shard_file(
         while got := _fill(src, source, lane_width):
             length += got
             stripes = -(-got // stripe_bytes)
-            lanes = stripes * rows * k
-            if got < lanes * lane_width:  # the last stripe is padded
+            filled = stripes * rows * k
+            if got < filled * lane_width:  # the last stripe is padded
                 full, offset = divmod(got, lane_width)
                 zero = bytes(lane_width)
-                for view in source[full:lanes]:
+                for view in source[full:filled]:
                     view[offset:] = zero[offset:]
                     offset = 0
-            arr = _batch_array(params, lane_width, stripes, cells)
-            encode(arr)
-            for j in range(k):
-                _write_all(fds[j], views[j : stripes * rows * (k + 2) : k + 2], lane_width)
-            # `parity` keeps this batch's parity cells alive until the next
-            # batch's encode has run.  Freed before it, they would leave every
-            # block the batch took from the heap free at once; glibc then
-            # hands the top of the heap back to the system, and the next
-            # batch faults it in again, a page fault per page.
-            parity = [_lanes(arr.column(c), lane_width) for c in (k, k + 1)]
-            for c, column in zip((k, k + 1), parity):
-                _write_all(fds[c], column, lane_width)
+            encode(_batch_array(params, lane_width, stripes, cells))
+            for c, fd in enumerate(fds):
+                _write_all(fd, lanes[c][: stripes * rows], lane_width)
             if got < len(source) * lane_width:
                 break
         stripe_count = -(-length // stripe_bytes)
@@ -460,17 +449,15 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
     With every column present, one output buffer in the source's order
     serves every batch: each information shard is read straight into its
     lanes (`_read_into`), and the buffer, cut at the original length, is
-    written with one call.  With a column lost, a buffer laid out as a
-    write's serves instead (see `_batch_buffer`), with lane views of only
-    the columns read and the information columns: each shard the decode
-    needs is read into its column's lanes, `decode` restores the lost
-    columns of the batch's CodeArray, each recovered information cell is
-    copied into its cell, and the information lanes, cut at the original
-    length, are written with os.writev, the mirror image of a write.  A
-    set of 0 stripes compiles no program and allocates no buffer.  A
-    buffer this process cannot allocate raises LaneWidthOutOfRange before
-    the output is created.  The output keeps the permission bits of a file
-    it replaces."""
+    written with one call.  With a column lost, a write's buffer serves
+    instead (`_batch_buffer`), with lanes of only the columns read and the
+    information columns: each shard the decode needs is read into its
+    column's lanes, `decode` writes the lost columns into their cells, and
+    the information lanes, cut at the original length, are written with
+    os.writev, the mirror image of a write.  A set of 0 stripes compiles
+    no program and allocates no buffer.  A buffer this process cannot
+    allocate raises LaneWidthOutOfRange before the output is created.  The
+    output keeps the permission bits of a file it replaces."""
     k, rows, lane_width = params.k, params.rows, ref.lane_width
     missing = [c for c in range(k + 2) if c not in shards]
     degraded = bool(missing) and ref.stripe_count > 0
@@ -479,14 +466,9 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
     # columns[c] holds column c's lanes in shard order; out_views of out_width bytes the output.
     if degraded:
         pattern = ErasurePattern(frozenset(missing))
-        lost_info = [c for c in missing if c < k]
-        if lost_info:
+        if missing[0] < k:
             read += sorted(decoding_program(params, pattern.erased).columns - set(range(k)))
-        n = k + 2
-        cells = _cell_buffer(rows * n, per_batch * lane_width, lane_width)
-        # Lanes only of the columns read and of the information columns written.
-        columns = {c: _lanes(cells[c::n], lane_width) for c in {*range(k), *read}}
-        out_views = [v for lanes in zip(*(columns[j] for j in range(k))) for v in lanes]
+        cells, columns, out_views = _batch_buffer(params, per_batch, lane_width, read)
         out_width = lane_width
     else:
         (buf,) = _cell_buffer(1, k * rows * per_batch * lane_width, lane_width)
@@ -502,11 +484,7 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
                 for c in read:
                     _read_into(shards[c], columns[c][: stripes * rows], lane_width)
                 if degraded:
-                    arr = _batch_array(params, lane_width, stripes, cells)
-                    decode(arr, pattern)
-                    for f in lost_info:
-                        for r, cell in enumerate(arr.column(f)):
-                            cells[r * n + f][: len(cell)] = cell
+                    decode(_batch_array(params, lane_width, stripes, cells), pattern)
                 size = min(left, stripes * rows * k * lane_width)
                 full, rest = divmod(size, out_width)
                 _write_all(out.fileno(), out_views[:full], out_width)

@@ -16,7 +16,7 @@ from eoflex.metrics import measure_update_complexity
 def evenodd_encode(grid, p, k):
     """Encode a (p-1) x k grid of 1-byte cells as classic EVENODD; return
     the (p-1) x (k+2) grid of lanes."""
-    cells = [[bytes([v]) for v in row] + [b"\x00", b"\x00"] for row in grid]
+    cells = [[bytearray([v]) for v in row] + [bytearray(1), bytearray(1)] for row in grid]
     return encode(CodeArray(evenodd_params(p, k), 1, cells)).cells
 
 

@@ -1,6 +1,8 @@
 import pytest
 
 from eoflex.codearray import CodeArray, ErasurePattern, xor_lanes, zero_lane
+from eoflex.codec import encode
+from eoflex.decoder import decode
 from eoflex.errors import TooManyErasures
 from eoflex.params import validate_params
 
@@ -19,6 +21,28 @@ def test_lane_width_enforced():
     arr = CodeArray.zeros(PRM, 4)
     with pytest.raises(ValueError):
         arr.set(0, 0, b"\x01")
+
+
+@pytest.mark.parametrize("lanes", [
+    [b"\xff" * 4],
+    [b"\xff" * 4] * (PRM.rows + 1),
+    [b"\xff" * 4] * (PRM.rows - 1) + [b"\xff" * 3],
+], ids=["one lane", "rows+1 lanes", "last lane narrow"])
+def test_set_column_checks_its_lanes_first(rng, lanes):
+    arr = CodeArray.random(PRM, 4, rng)
+    before = arr.copy()
+    with pytest.raises(ValueError):
+        arr.set_column(0, lanes)
+    assert arr == before
+
+
+def test_copy_gives_independent_cells(rng):
+    arr = encode(CodeArray.random(PRM, 4, rng))
+    want = [[bytes(lane) for lane in row] for row in arr.cells]
+    got = arr.copy()
+    got.cells[0][1][0] ^= 1
+    decode(got, ErasurePattern.of(0, 3))  # writes columns 0 and 3 of the copy
+    assert [[bytes(lane) for lane in row] for row in arr.cells] == want
 
 
 def test_erasure_pattern_validation():

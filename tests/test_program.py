@@ -147,6 +147,30 @@ class TestProof:
         assert len(check_program(PRM, program, (PRM.k + 1, PRM.k))) == 2 * PRM.rows
 
 
+def test_outputs_land_in_the_arrays_own_cells():
+    # `store` overwrites the cells an array holds, so an array laid over a
+    # caller's buffer fills that buffer: after the encode and after every
+    # decode, each cell is still the object it was.
+    rng = random.Random(7)
+    arr = CodeArray.random(PRM, 4, rng)
+    want = encode(arr.copy())
+    cells = [row[:] for row in arr.cells]
+
+    def same_cells():
+        return all(a is b for got, had in zip(arr.cells, cells) for a, b in zip(got, had))
+
+    encode(arr)
+    assert same_cells() and arr == want
+    k = PRM.k
+    for cols in [(c,) for c in range(k + 2)] + list(itertools.combinations(range(k + 2), 2)):
+        for c in cols:  # erased cells are never read
+            for row in arr.cells:
+                row[c][:] = rng.randbytes(4)
+        decode(arr, ErasurePattern.of(*cols))
+        assert same_cells(), cols
+        assert arr == want, cols
+
+
 @pytest.mark.parametrize("triple", [(2, 5, 3), (1, 11, 7), (3, 9, 3), (1, 7, 5), (1, 5, 3)])
 def test_wide_decode_matches_per_stripe_and_oracle(triple):
     """One run over lanes that concatenate several stripes recovers each

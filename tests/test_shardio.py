@@ -376,6 +376,30 @@ def test_degraded_read_views_only_the_columns_it_uses(tmp_path, rng, monkeypatch
     assert len(cells) == PRM.rows * len(viewed)
 
 
+def test_write_builds_its_lanes_once(tmp_path, monkeypatch):
+    # One buffer's lanes serve every batch of a write, parity shards
+    # included: a 4-batch file builds no more lane views than a 1-batch one.
+    calls = []
+    real_lanes = shardio._lanes
+
+    def counting_lanes(cells, lane_width):
+        calls.append(len(cells))
+        return real_lanes(cells, lane_width)
+
+    monkeypatch.setattr(shardio, "_lanes", counting_lanes)
+    counts = []
+    for batches in (1, 4):
+        src = tmp_path / f"src{batches}"
+        src.write_bytes(random.Random(batches).randbytes((batches - 1) * PER_BATCH * STRIPE + 1))
+        calls.clear()
+        shard_file(src, PRM, tmp_path / f"shards{batches}", lane_width=LANE)
+        counts.append(len(calls))
+        shard_path(tmp_path / f"shards{batches}", 1).unlink()
+        reconstruct(tmp_path / f"shards{batches}", tmp_path / f"out{batches}")
+        assert sha(tmp_path / f"out{batches}") == sha(src)
+    assert counts[0] == counts[1]
+
+
 def peak_bytes(tmp_path, batches):
     """tracemalloc peak of sharding a file of `batches` batches and reading
     it back with two information columns lost."""
