@@ -24,10 +24,6 @@ DEFAULT_LANE_WIDTH = 64
 Lane = bytes
 
 
-def zero_lane(width: int) -> Lane:
-    return bytes(width)
-
-
 def xor_lanes(a: Lane, b: Lane) -> Lane:
     """Elementwise XOR of two equal-width lanes."""
     return (
@@ -99,11 +95,6 @@ class CodeArray:
         """An array with a copy of every cell."""
         cells = [[bytearray(lane) for lane in row] for row in self.cells]
         return CodeArray(self.params, self.lane_width, cells)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CodeArray):
-            return NotImplemented
-        return self.params == other.params and self.cells == other.cells
 
     # -- constructors ------------------------------------------------------
 

@@ -76,27 +76,27 @@ def diagonal_sum(b: Builder, i: int, s: CommonBits, cells=(), skip=()) -> int:
     return acc if mu is None else b.xor_values([s[mu]], acc)
 
 
-def parity_columns(b: Builder, columns) -> dict[int, list[int]]:
-    """Symbolic parity cells of the given parity columns (k, k+1 or both)
-    from the information cells of `b`."""
+def parity_columns(b: Builder, columns) -> list[tuple[tuple[int, int], int]]:
+    """The cells of the given parity columns (k, k+1 or both), computed
+    from the information cells of `b`: ((row, column), value id) pairs,
+    column k first, row by row."""
     p = b.params
-    out = {}
+    out = []
     if p.k in columns:
-        out[p.k] = [row_sum(b, i) for i in range(p.rows)]
+        out += [((i, p.k), row_sum(b, i)) for i in range(p.rows)]
     if p.k + 1 in columns:
         s = compute_common_bits(b)
-        out[p.k + 1] = [diagonal_sum(b, i, s) for i in range(p.rows)]
+        out += [((i, p.k + 1), diagonal_sum(b, i, s)) for i in range(p.rows)]
     return out
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def encoding_program(params: CodeParams, columns: tuple[int, ...]) -> Program:
-    """The compiled encoder of the parity `columns` (k, k+1 or both, in
-    order): outputs one column after the other, row by row."""
+    """The compiled encoder of the parity `columns`: (k,), (k+1,) or
+    (k, k+1)."""
     b = Builder(params, {params.k, params.k + 1})
     b.phase = "encode"
-    cols = parity_columns(b, columns)
-    return b.finish([v for c in columns for v in cols[c]], f"encode {columns} of {params}")
+    return b.finish(parity_columns(b, columns), f"encode {columns} of {params}")
 
 
 def encode(array: CodeArray, *, columns=None) -> CodeArray:
@@ -107,7 +107,7 @@ def encode(array: CodeArray, *, columns=None) -> CodeArray:
     program = encoding_program(p, columns)
     regs = program.load(array)
     program.execute(regs)
-    program.store(regs, array, columns)
+    program.store(regs, array)
     return array
 
 
@@ -117,13 +117,12 @@ def update_positions(params: CodeParams) -> MappingProxyType:
     compiled encoder: run once with input n holding the bitmask 1 << n,
     each output holds the mask of the input cells its equation combines.
     Positions come column k first, then column k+1, row by row."""
-    columns = (params.k, params.k + 1)
-    program = encoding_program(params, columns)
+    program = encoding_program(params, (params.k, params.k + 1))
     regs = [0] * program.registers
     for n, r in enumerate(program.inputs[::3]):
         regs[r] = 1 << n
     program.execute(regs)
-    values = program.cell_values(regs, columns)
+    values = program.cell_values(regs)
     outputs = [(cell, mask) for cell, mask in values.items() if cell[1] >= params.k]
     return MappingProxyType({
         cell: tuple(position for position, mask in outputs if mask & bit)

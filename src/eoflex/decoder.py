@@ -45,12 +45,7 @@ from dataclasses import dataclass
 from .codearray import CodeArray, ErasurePattern
 from .codec import (compute_common_bits, diagonal_sum, encode, encoding_program,
                     parity_columns, row_sum)
-from .errors import (
-    ChainStall,
-    DiagParityMissing,
-    ParityMissing,
-    RowParityMissing,
-)
+from .errors import ChainStall
 from .params import CodeParams
 from .program import CACHE_SIZE, ZERO, Builder, Program
 
@@ -73,8 +68,6 @@ def sum_common_bits(b: Builder) -> int:
     """XOR of all 2*tau*(p-1) parity lanes, which telescopes to the XOR of
     the t common bits (each appears an odd number of times overall)."""
     p = b.params
-    if p.k in b.erased or p.k + 1 in b.erased:
-        raise ParityMissing("both parity columns are required to sum the common bits")
     return b.xor_cells((i, c) for c in (p.k, p.k + 1) for i in range(p.rows))
 
 
@@ -297,8 +290,6 @@ def recover_pair(b: Builder, f: int, g: int) -> tuple[list[int], list[int]]:
 def decode_info_via_row_parity(b: Builder, f: int) -> list[int]:
     """Recover information column f from the row-parity column."""
     p = b.params
-    if p.k in b.erased:
-        raise RowParityMissing("row-parity column is erased")
     return [row_sum(b, i, [(i, p.k)], (f,)) for i in range(p.rows)]
 
 
@@ -316,8 +307,6 @@ def decode_info_with_diag_parity(b: Builder, f: int) -> list[int]:
     them.
     """
     p = b.params
-    if p.k + 1 in b.erased:
-        raise DiagParityMissing("diagonal-parity column is erased")
     skip = (f,)
     # Common bits from their surviving participants; the column-f one (real
     # exactly when mu < f) is XORed in as the seed rows recover it.
@@ -347,7 +336,6 @@ def decoding_program(params: CodeParams, erased: frozenset) -> Program:
     """Compile the recovery of the `erased` columns, one or two of which
     are information columns: the information columns first, then the
     erased parity column re-encoded from them under phase "chase".
-    Outputs come one column after the other in column order, row by row.
 
     Raises ChainStall when the rules cannot recover the pattern: on the
     rank-deficient column pairs of non-MDS parameter sets, and on the
@@ -362,19 +350,16 @@ def decoding_program(params: CodeParams, erased: frozenset) -> Program:
         columns = [decode_info_with_diag_parity(b, info[0])]
     else:
         columns = [decode_info_via_row_parity(b, info[0])]
-    for c, cells in zip(info, columns):
-        for i, value in enumerate(cells):
-            b.set(i, c, value)
-    columns = [*columns, *parity_columns(b, erased - set(info)).values()]
-    return b.finish(
-        [v for column in columns for v in column],
-        f"decode of columns {sorted(erased)} of {params}",
-    )
+    outputs = [((i, c), value) for c, cells in zip(info, columns) for i, value in enumerate(cells)]
+    for cell, value in outputs:
+        b.set(*cell, value)
+    outputs += parity_columns(b, erased - set(info))
+    return b.finish(outputs, f"decode of columns {sorted(erased)} of {params}")
 
 
 def recovery_program(params: CodeParams, erased) -> Program:
-    """The program that restores the `erased` columns into `sorted(erased)`;
-    raises ChainStall as `decoding_program` does."""
+    """The program that restores the `erased` columns; raises ChainStall
+    as `decoding_program` does."""
     columns = tuple(sorted(erased))
     if columns[0] >= params.k:
         return encoding_program(params, columns)
@@ -429,7 +414,7 @@ def decode(array: CodeArray, pattern: ErasurePattern, tally=None) -> CodeArray:
             decode_two_info(program, regs)
         else:
             program.execute(regs)
-        program.store(regs, array, erased)
+        program.store(regs, array)
         xors = program.xors
     if tally is not None:
         tally.add(xors)

@@ -66,18 +66,6 @@ class TooManyErasures(CodeError, ValueError):
     pass
 
 
-class RowParityMissing(CodeError, ValueError):
-    """Row-parity column is required but marked erased."""
-
-
-class DiagParityMissing(CodeError, ValueError):
-    """Diagonal-parity column is required but marked erased."""
-
-
-class ParityMissing(CodeError, ValueError):
-    """Both parity columns are required but at least one is erased."""
-
-
 class ChainStall(CodeError, RuntimeError):
     """The chain decoder could not make progress.
 

@@ -170,16 +170,15 @@ def encode_bits(params: CodeParams, info_bits: list[int]) -> list[int]:
     return g.mul_vec(packed)
 
 
-def check_program(params: CodeParams, program: Program, columns) -> list[str]:
+def check_program(params: CodeParams, program: Program) -> list[str]:
     """Prove a compiled program against the generator matrix.
 
     A program is GF(2)-linear, so running it once with each input register
     holding the generator row of its cell (a mask over the information
     bits) gives each output as the mask of the information bits it
-    combines.  Each output must equal the generator row of the cell `store`
-    places it in, in `columns` (see `Program.cell_values`).  Returns one
-    line per fault; an empty list means the program is exact on every
-    codeword.
+    combines.  Each output must equal the generator row of its cell.
+    Returns one line per fault; an empty list means the program is exact
+    on every codeword.
     """
     g = generator_matrix(params)
     rows = params.rows
@@ -190,7 +189,7 @@ def check_program(params: CodeParams, program: Program, columns) -> list[str]:
     program.execute(regs)
     return [
         f"cell ({i},{c})"
-        for (i, c), mask in program.cell_values(regs, columns).items()
+        for (i, c), mask in program.cell_values(regs).items()
         if mask != g.bits[c * rows + i]
     ]
 

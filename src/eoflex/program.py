@@ -15,11 +15,12 @@ consistency check the rules ask for is settled at compile time: its two
 sides must combine the same cells, which makes them equal on any input, or
 compiling raises ChainStall.  A program compares nothing when it runs.
 
-Running a program converts each input cell to an int once, XORs ints in a
-flat loop and converts only the output cells back to bytes, which `store`
-writes into the cells the array holds.  One program restores every lost
-column of a pattern, so no int is handed from one program to another.  A
-lane may be any width, so one run can cover many stripes whose cells are
+A program's outputs carry their cells, as its inputs do.  Running a
+program converts each input cell to an int once, XORs ints in a flat loop
+and converts only the output cells back to bytes, which `store` writes
+into the cells the array holds.  One program restores every lost column
+of a pattern, so no int is handed from one program to another.  A lane
+may be any width, so one run can cover many stripes whose cells are
 concatenated lane by lane.  The code is cut into stages where the rules
 asked for it, so a caller can run (and time) each stage on its own.
 """
@@ -41,9 +42,10 @@ class Program:
     Register 0 holds zero.  `inputs` is a flat tuple of (register, row,
     column) triples, each loading one array cell, and `code` a flat tuple
     of (dst, a, b) triples, each meaning reg[dst] = reg[a] ^ reg[b];
-    stage s is code[stages[s-1]:stages[s]] (from 0 for s = 0).  `xors`
-    pairs each phase with the XORs the rules spent in it, one per
-    instruction.
+    stage s is code[stages[s-1]:stages[s]] (from 0 for s = 0).  The
+    outputs carry their cells: `outputs` holds (register, row, column)
+    triples too, each storing a register into a cell.  `xors` pairs each
+    phase with the XORs the rules spent in it, one per instruction.
     """
 
     name: str
@@ -72,14 +74,13 @@ class Program:
             regs[r] = int.from_bytes(cells[i][j], "little")
         return regs
 
-    def cell_values(self, regs: list[int], columns) -> dict[tuple[int, int], int]:
+    def cell_values(self, regs: list[int]) -> dict[tuple[int, int], int]:
         """The cells held in executed `regs`, keyed by (row, column): every
-        input cell, and the outputs as `store` places them into `columns`."""
-        it = iter(self.inputs)
-        values = {(i, j): regs[r] for r, i, j in zip(it, it, it)}
-        rows = len(self.outputs) // len(columns)
-        cells = [(i, c) for c in columns for i in range(rows)]
-        values.update(zip(cells, (regs[r] for r in self.outputs)))
+        input cell, then every output cell."""
+        values = {}
+        for triples in (self.inputs, self.outputs):
+            it = iter(triples)
+            values.update(((i, j), regs[r]) for r, i, j in zip(it, it, it))
         return values
 
     def execute(self, regs: list[int], stage: int | None = None) -> None:
@@ -91,24 +92,13 @@ class Program:
         for dst, a, b in zip(it, it, it):
             regs[dst] = regs[a] ^ regs[b]
 
-    def results(self, regs: list[int], width: int) -> list[bytes]:
-        """The output lanes of the executed registers."""
-        return [regs[r].to_bytes(width, "little") for r in self.outputs]
-
-    def store(self, regs: list[int], array, columns) -> None:
-        """Write the outputs into the cells of `columns` of `array`, one
-        column after the other, row by row: each output overwrites the
+    def store(self, regs: list[int], array) -> None:
+        """Write each output into its cell of `array`: it overwrites the
         bytes of the cell the array holds, which must be writable."""
-        width, outputs = array.lane_width, iter(self.outputs)
-        for c in columns:
-            for row in array.cells:
-                row[c][:] = regs[next(outputs)].to_bytes(width, "little")
-
-    def run(self, array) -> list[bytes]:
-        """Evaluate the program on `array`; return the output lanes."""
-        regs = self.load(array)
-        self.execute(regs)
-        return self.results(regs, array.lane_width)
+        cells, width = array.cells, array.lane_width
+        it = iter(self.outputs)
+        for r, i, j in zip(it, it, it):
+            cells[i][j][:] = regs[r].to_bytes(width, "little")
 
 
 class Builder:
@@ -116,9 +106,9 @@ class Builder:
 
     `get(i, j)` returns the value id of array cell (i, j), reading it as a
     program input the first time; cells of `erased` columns must be `set`
-    by the rules before they are read.  `xor` emits one instruction,
-    counts it against the current `phase` (None counts nothing) and returns
-    the id of the result.  Rules build their sums with `xor_values` and
+    by the rules before they are read, or `get` raises ValueError.  `xor`
+    emits one instruction, counts it against the current `phase` (None
+    counts nothing) and returns the id of the result.  Rules build their sums with `xor_values` and
     `xor_cells`, which start from None, the empty sum, so a sum of n terms
     emits n-1 XORs.  `check` settles a consistency check at compile time.
     `end_stage` cuts the code recorded so far off as a stage.
@@ -190,13 +180,14 @@ class Builder:
         self._stages.append(len(self._code))
 
     def finish(self, outputs, name: str) -> Program:
-        """Compile the recording into a Program computing `outputs`."""
+        """Compile the recording into a Program that stores each value of
+        `outputs`, ((row, column), value id) pairs, into its cell."""
         return Program(
             name=name,
             inputs=tuple(x for v, cell in self._inputs.items() for x in (v, *cell)),
             code=tuple(x for triple in self._code for x in triple),
             stages=tuple(3 * n for n in self._stages) + (3 * len(self._code),),
-            outputs=tuple(outputs),
+            outputs=tuple(x for (i, j), v in outputs for x in (v, i, j)),
             registers=len(self._mask),
             xors=tuple(sorted(self._counts.items())),
         )

@@ -70,7 +70,6 @@ import dataclasses
 import errno
 import os
 import re
-import secrets
 import stat
 import struct
 import zlib
@@ -79,7 +78,7 @@ from pathlib import Path
 
 from .codearray import CodeArray, ErasurePattern
 from .codec import encode
-from .decoder import decode, decoding_program, undecodable_pairs
+from .decoder import decode, recovery_program, undecodable_pairs
 from .errors import (
     CrcFailure,
     HeaderMismatch,
@@ -466,8 +465,7 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
     # columns[c] holds column c's lanes in shard order; out_views of out_width bytes the output.
     if degraded:
         pattern = ErasurePattern(frozenset(missing))
-        if missing[0] < k:
-            read += sorted(decoding_program(params, pattern.erased).columns - set(range(k)))
+        read += sorted(recovery_program(params, missing).columns - set(range(k)))
         cells, columns, out_views = _batch_buffer(params, per_batch, lane_width, read)
         out_width = lane_width
     else:
@@ -475,7 +473,7 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
         lanes = _lanes([buf], lane_width)
         columns = {c: lanes[c::k] for c in read}
         out_views, out_width = [buf], len(buf)
-    temp = output.parent / f".{output.name}.{secrets.token_hex(4)}.tmp"
+    temp = output.parent / f".{output.name}.{os.urandom(4).hex()}.tmp"
     left = ref.original_length
     try:
         with open(temp, "xb", buffering=0) as out:

@@ -35,7 +35,12 @@ def params_of(triple):
 
 
 def evaluate(array, rule, erased=()):
-    """Run symbolic rule code on a concrete array: compile the value ids
-    `rule(builder)` returns and give back their lanes."""
+    """Run symbolic rule code on a concrete array: compile the rules, run
+    the program and give back the lanes of the value ids `rule(builder)`
+    returns, each held in the register of the same number."""
     b = Builder(array.params, erased)
-    return b.finish(list(rule(b)), "test").run(array)
+    values = list(rule(b))
+    program = b.finish((), "test")
+    regs = program.load(array)
+    program.execute(regs)
+    return [regs[v].to_bytes(array.lane_width, "little") for v in values]

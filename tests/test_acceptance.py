@@ -89,7 +89,7 @@ def test_criterion_1_mds_sweep(triple):
     for cols in pairs:
         assert erasure_solver(prm, cols).full_rank, (triple, cols)
         program = recovery_program(prm, cols)
-        assert check_program(prm, program, sorted(cols)) == [], (triple, cols)
+        assert check_program(prm, program) == [], (triple, cols)
     report(f"1 mds-sweep {prm}: {len(pairs)} column pairs full rank, programs exact PASS")
 
 
@@ -280,5 +280,5 @@ def test_criterion_9_parameter_gate():
     assert rank_check(prm) == []
     for cols in itertools.combinations(range(prm.k + 2), 2):
         program = recovery_program(prm, cols)
-        assert check_program(prm, program, sorted(cols)) == [], cols
+        assert check_program(prm, program) == [], cols
     report("9 parameter-gate: (1,9,4)/(1,15,4) rejected; (3,9,3) proves clean PASS")

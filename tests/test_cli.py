@@ -453,3 +453,34 @@ class TestUnallocatableBatch:
         assert result.stderr.startswith("error: lane width 268435456 needs a batch buffer")
         assert result.stderr.count("\n") == 1
         assert sorted(tmp_path.iterdir()) == [shards]
+
+
+# Modules `eoflex encode` and `decode` never need: the report code and the
+# stdlib modules only it, or a random file name, would load.
+REPORT_MODULES = ("fractions", "csv", "secrets", "hashlib",
+                  "eoflex.metrics", "eoflex.oracle", "eoflex.baseline")
+
+
+def test_encode_and_decode_load_no_report_code(tmp_path):
+    # A fresh interpreter encodes through cli.main, loses two information
+    # columns, decodes, and prints which of REPORT_MODULES it loaded.
+    src, shards, out = tmp_path / "in.bin", tmp_path / "shards", tmp_path / "out.bin"
+    src.write_bytes(bytes(range(256)) * 117)
+    script = f"""if True:
+        import os, sys
+        from eoflex.cli import main
+        src, shards, out = sys.argv[1:]
+        assert main(["encode", "--tau", "2", "--p", "5", "--k", "3", src, shards]) == 0
+        for c in (0, 2):
+            os.remove(os.path.join(shards, f"shard_{{c}}.eof"))
+        assert main(["decode", shards, out]) == 0
+        print([name for name in {REPORT_MODULES!r} if name in sys.modules])
+    """
+    package_root = str(Path(eoflex.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script, src, shards, out], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout.splitlines()[-1] == "[]"
+    assert out.read_bytes() == src.read_bytes()

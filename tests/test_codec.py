@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ACCEPTANCE_SETS, evaluate
 from eoflex.baseline import evenodd_params
-from eoflex.codearray import CodeArray, xor_lanes, zero_lane
+from eoflex.codearray import CodeArray, xor_lanes
 from eoflex.codec import (
     common_bit_participants,
     compute_common_bits,
@@ -180,6 +180,14 @@ class TestUpdateCell:
         arr = encode(CodeArray.zeros(PRM, 1))
         with pytest.raises(ParityColumnNotUpdatable):
             update_cell(arr, 0, 3, ONE)
+
+    @pytest.mark.parametrize("row", [-1, PRM.rows])
+    def test_row_out_of_range_rejected(self, row):
+        arr = encode(CodeArray.zeros(PRM, 1))
+        before = arr.copy()
+        with pytest.raises(IndexError, match=f"row {row} out of range"):
+            update_cell(arr, row, 0, ONE)
+        assert arr == before
 
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
     def test_patch_equals_fresh_encode(self, triple):

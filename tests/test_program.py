@@ -19,7 +19,7 @@ PRM = validate_params(2, 5, 3)
 
 # SHA-256 of the repr of every program `every_program` yields for the
 # ACCEPTANCE_SETS, in order.
-PROGRAMS_SHA256 = "1b9a1ed6b7e1e6aab70f0b7c2cc94026d4cad39b6f9458e1b67efc7e6e697f2c"
+PROGRAMS_SHA256 = "ab267009f6f5101bad906c2d373f7c1c38cb17bad46ba705b329079b422168d8"
 
 
 def lanes_of(*values):
@@ -37,7 +37,7 @@ class TestBuilder:
         x = b.xor(b.get(0, 0), b.get(0, 1))
         b.phase = "chase"
         y = b.xor_cells([(0, 2), (1, 0)], x)
-        program = b.finish([x, y], "t")
+        program = b.finish([((0, 3), x), ((1, 3), y)], "t")
         assert program.xors == (("chase", 2), ("reduce", 1))
         assert len(program.code) == 3 * 3
 
@@ -46,11 +46,16 @@ class TestBuilder:
         acc = b.get(0, 0)
         for j in (1, 2):
             acc = b.xor(acc, b.get(0, j))
-        program = b.finish([acc], "t")
+        program = b.finish([((0, 3), acc)], "t")
         assert program.inputs == (1, 0, 0, 2, 0, 1, 4, 0, 2)
         assert program.code == (3, 1, 2, 5, 3, 4)
+        assert program.outputs == (5, 0, 3)
         assert program.columns == {0, 1, 2}
-        assert program.run(lanes_of(b"\x01", b"\x02", b"\x04")) == [b"\x07"]
+        arr = lanes_of(b"\x01", b"\x02", b"\x04")
+        regs = program.load(arr)
+        program.execute(regs)
+        program.store(regs, arr)
+        assert arr.get(0, 3) == b"\x07"
 
     def test_failing_check_raises_at_compile_time(self):
         b = Builder(PRM, {3})
@@ -62,7 +67,7 @@ class TestBuilder:
         b = Builder(PRM)
         x, y, z = b.get(0, 0), b.get(0, 1), b.get(0, 2)
         b.check([x, y, z], b.xor(x, b.xor(z, y)))
-        program = b.finish([], "t")
+        program = b.finish((), "t")
         assert len(program.code) == 2 * 3  # the right-hand side only
 
     @pytest.mark.parametrize("triple", ACCEPTANCE_SETS)
@@ -93,10 +98,14 @@ class TestBuilder:
         assert 0 < program.stages[0] < program.stages[1] == len(program.code)
         assert len(program.stages) == 2
         arr = encode(CodeArray.random(PRM, 4, random.Random(1)))
-        regs = program.load(arr)
+        got = arr.copy()
+        for c in (0, 2):
+            got.set_column(c, [bytes(4)] * PRM.rows)
+        regs = program.load(got)
         program.execute(regs, 0)
         program.execute(regs, 1)
-        assert program.results(regs, 4) == program.run(arr) == arr.column(0) + arr.column(2)
+        program.store(regs, got)
+        assert got == arr
 
     def test_erased_cell_must_be_recovered_first(self):
         b = Builder(PRM, {1})
@@ -107,13 +116,12 @@ class TestBuilder:
 
 
 def every_program(prm, triple):
-    """(program, columns it stores into) for the recovery program of every
-    one- and two-column loss of `prm`."""
+    """The recovery program of every one- and two-column loss of `prm`."""
     k = prm.k
     patterns = [(c,) for c in range(k + 2)] + list(itertools.combinations(range(k + 2), 2))
     for cols in patterns:
         if cols not in deficient_pairs(triple):
-            yield recovery_program(prm, cols), sorted(cols)
+            yield recovery_program(prm, cols)
 
 
 class TestProof:
@@ -122,15 +130,15 @@ class TestProof:
         # Each program, run once on the generator's rows, is exact on
         # every codeword.
         prm = validate_params(*triple)
-        for program, cols in every_program(prm, triple):
-            assert check_program(prm, program, cols) == [], program.name
+        for program in every_program(prm, triple):
+            assert check_program(prm, program) == [], program.name
 
     def test_every_program_is_golden(self):
         # Every compiled program, frozen byte for byte against refactors of
         # the rules and the program builder.
         digest = hashlib.sha256()
         for triple in ACCEPTANCE_SETS:
-            for program, _ in every_program(validate_params(*triple), triple):
+            for program in every_program(validate_params(*triple), triple):
                 digest.update(repr(program).encode())
         assert digest.hexdigest() == PROGRAMS_SHA256
 
@@ -139,12 +147,16 @@ class TestProof:
         code = list(program.code)
         code[-1] = code[-2]  # the last XOR reads one operand twice
         mutant = dataclasses.replace(program, code=tuple(code))
-        faults = check_program(PRM, mutant, [0, 2])
+        faults = check_program(PRM, mutant)
         assert faults and all(f.startswith("cell (") for f in faults)
 
     def test_output_stored_in_the_wrong_column_is_flagged(self):
         program = encoding_program(PRM, (PRM.k, PRM.k + 1))
-        assert len(check_program(PRM, program, (PRM.k + 1, PRM.k))) == 2 * PRM.rows
+        outputs = list(program.outputs)
+        outputs[2::3] = [2 * PRM.k + 1 - c for c in outputs[2::3]]  # k and k+1 swapped
+        mutant = dataclasses.replace(program, outputs=tuple(outputs))
+        assert check_program(PRM, program) == []
+        assert len(check_program(PRM, mutant)) == 2 * PRM.rows
 
 
 def test_outputs_land_in_the_arrays_own_cells():

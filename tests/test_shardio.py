@@ -6,9 +6,11 @@ import itertools
 import os
 import random
 import stat
+import struct
 import threading
 import tracemalloc
 import types
+import zlib
 
 import pytest
 
@@ -74,6 +76,13 @@ def shard_bytes(directory):
     return [shard_path(directory, c).read_bytes() for c in range(PRM.k + 2)]
 
 
+def with_magic(blob, magic):
+    """`blob`, a shard or its header, with `magic` in its header and the
+    header CRC recomputed to match."""
+    body = magic + blob[len(magic) : HEADER_SIZE - 4]
+    return body + struct.pack("<I", zlib.crc32(body)) + blob[HEADER_SIZE:]
+
+
 def encoded(tmp_path, rng, size, prm=PRM, lane_width=64):
     """Shard `size` random bytes; return (source, shard dir)."""
     src = tmp_path / "data.bin"
@@ -96,8 +105,8 @@ class TestHeader:
             ShardHeader.unpack(bytes(raw))
 
     def test_bad_magic(self):
-        raw = b"NOTMAGIC" + ShardHeader(1, 2, 5, 3, 0, 64, 1, 10).pack()[8:]
-        with pytest.raises(CrcFailure):
+        raw = with_magic(ShardHeader(1, 2, 5, 3, 0, 64, 1, 10).pack(), b"NOTMAGIC")
+        with pytest.raises(CrcFailure, match="bad magic b'NOTMAGIC'"):
             ShardHeader.unpack(raw)
 
     def test_unknown_version(self):
@@ -562,6 +571,21 @@ class TestMalformedShards:
             shard_path(shards, c).write_bytes(blob[:-10])
         with pytest.raises(TooManyMissing):
             reconstruct(shards, tmp_path / "out.bin")
+
+    def test_short_and_bad_magic_shards_are_erasures(self, tmp_path, rng):
+        src, shards = encoded(tmp_path, rng, 30_000)
+        short, bad_magic = shard_path(shards, 0), shard_path(shards, 3)
+        short.write_bytes(short.read_bytes()[:20])
+        bad_magic.write_bytes(with_magic(bad_magic.read_bytes(), b"EOFLEX99"))
+        out = tmp_path / "out.bin"
+        reconstruct(shards, out)
+        assert sha(out) == sha(src)
+        shard_path(shards, 1).unlink()
+        with pytest.raises(TooManyMissing) as info:
+            reconstruct(shards, out)
+        message = str(info.value)
+        assert f"{short} (shard too short for header)" in message
+        assert f"{bad_magic} (bad magic b'EOFLEX99')" in message
 
     def test_column_index_above_k_plus_1(self, tmp_path, rng):
         _, shards = encoded(tmp_path, rng, 30_000)

@@ -46,7 +46,7 @@ DEFICIENT = {
 # SHA-256 of the repr of the recovery program of every one- and two-column
 # loss of every set of SWEEP, in order, skipping the losses that raise
 # ChainStall.
-SWEEP_PROGRAMS_SHA256 = "d0eabfbda6fac94bb32214e12dcce5ff215018dd8cfe39d79ec6756a2c661e81"
+SWEEP_PROGRAMS_SHA256 = "4368de19f9da9b1677ad1f161beed4f90e13c788c5d524da05904a0484cf3a6b"
 
 
 def test_sweep_has_72_sets():
