@@ -97,22 +97,27 @@ def _cmd_verify(args) -> int:
 
 
 def _read_params_file(path: str):
-    """(tau, p, k) triples from a CSV file with those columns; a line that
-    does not hold three integers, or a file with no line after its header,
-    raises ParamsFileError naming the file and the line."""
+    """(tau, p, k) triples from a UTF-8 CSV file with those columns; a line
+    that does not hold three integers, or a file with no line after its
+    header, raises ParamsFileError naming the file and the line, and a file
+    that is not UTF-8 one naming the file and the byte."""
     import csv
+    import io
 
+    try:
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParamsFileError(f"{path}: not UTF-8 text (byte {exc.start}: {exc.reason})") from None
     sets = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            try:
-                sets.append(tuple(int(row[name]) for name in ("tau", "p", "k")))
-            except (KeyError, TypeError, ValueError):
-                raise ParamsFileError(
-                    f"{path} line {reader.line_num}: expected integer tau,p,k columns, "
-                    f"got {row}"
-                ) from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for row in reader:
+        try:
+            sets.append(tuple(int(row[name]) for name in ("tau", "p", "k")))
+        except (KeyError, TypeError, ValueError):
+            raise ParamsFileError(
+                f"{path} line {reader.line_num}: expected integer tau,p,k columns, "
+                f"got {row}"
+            ) from None
     if not sets:
         raise ParamsFileError(
             f"{path} line {reader.line_num}: expected a tau,p,k header and one set "

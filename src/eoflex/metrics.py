@@ -19,20 +19,23 @@ Every count is read off the compiled XOR programs: XORs off
 `Program.xors`, which hold the XORs each phase runs, and update positions
 off the encoder (`codec.update_positions`); no count needs an array, an
 encode or a decode.
+
+The classic-EVENODD baseline is here too (`evenodd_params`, measured by the
+same compiled encoder, and its closed form `evenodd_update_formula`); the
+exact tau = 1 reduction check is `oracle.tau1_equivalence_check`.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .baseline import evenodd_params
 from .codec import encoding_program, update_positions
 from .decoder import decoding_program
 from .errors import ChainStall, PNotPrime, PTooSmall
-from .params import CodeParams, Regime
+from .params import CodeParams, Regime, validate_params
 
 
 @dataclass
@@ -124,6 +127,29 @@ def evenodd_plus_reference(p: int, k: int) -> dict[str, Fraction]:
     }
 
 
+# -- classic EVENODD ---------------------------------------------------------
+
+
+def evenodd_params(p: int, k: int) -> CodeParams:
+    """Classic EVENODD (Blaum, Brady, Bruck & Menon, 1995) over p-1 rows and
+    k information columns: the tau = 1 code with its one common bit (the
+    XOR along the diagonal ending at virtual row p-1) on *every* row of the
+    diagonal-parity column, n_c = p-1.  p must be a prime no smaller than
+    k; it exists for complexity comparison."""
+    if p < 2 or any(p % d == 0 for d in range(2, math.isqrt(p) + 1)):
+        raise PNotPrime(f"p must be prime, got {p}")
+    if p < k:
+        raise PTooSmall(f"p={p} must be >= k={k}")
+    return replace(validate_params(1, p, k), n_c=p - 1)
+
+
+def evenodd_update_formula(p: int, k: int) -> Fraction:
+    """Classic EVENODD's update complexity 3 - (p+k-2)/(k(p-1)), which
+    `measure_update_complexity(evenodd_params(p, k)).empirical` equals
+    exactly."""
+    return 3 - Fraction(p + k - 2, k * (p - 1))
+
+
 # -- measurements ------------------------------------------------------------
 
 
@@ -169,10 +195,6 @@ class DecodeRow:
     measured: int
     formula: int
 
-    @property
-    def deviation(self) -> int:
-        return self.measured - self.formula
-
 
 @dataclass
 class ReportRow:
@@ -189,99 +211,70 @@ class ReportRow:
     def info_bits(self) -> int:
         return self.params.k * self.params.rows
 
+    def lines(self):
+        """(metric, case, measured, formula) for encode, each decoded pair,
+        then update.  Encode and decode are XOR counts; update is already
+        an average per information cell."""
+        yield "encode", "-", self.encode_measured, self.encode_formula
+        for d in self.decode:
+            yield "decode", f"{d.pair[0]}+{d.pair[1]}", d.measured, d.formula
+        yield "update", "-", self.update.empirical, self.update.closed_form
+
 
 @dataclass
 class ComplexityReport:
     rows: list[ReportRow]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(
-            "tau,p,k,metric,case,measured,formula,"
-            "normalized_measured,normalized_formula\n"
-        )
+        lines = ["tau,p,k,metric,case,measured,formula,normalized_measured,normalized_formula"]
         for row in self.rows:
             pm = row.params
             n = row.info_bits
-
-            def emit(metric, case, measured, formula):
-                nm = float(Fraction(measured) / n) if measured is not None else ""
-                nf = float(Fraction(formula) / n) if formula is not None else ""
-                buf.write(
-                    f"{pm.tau},{pm.p},{pm.k},{metric},{case},"
-                    f"{measured},{formula},{nm:.6f},{nf:.6f}\n"
-                )
-
-            emit("encode", "-", row.encode_measured, row.encode_formula)
-            for d in row.decode:
-                emit("decode", f"{d.pair[0]}+{d.pair[1]}", d.measured, d.formula)
-            buf.write(
-                f"{pm.tau},{pm.p},{pm.k},update,-,"
-                f"{float(row.update.empirical):.6f},"
-                f"{float(row.update.closed_form):.6f},,\n"
-            )
-        return buf.getvalue()
+            for metric, case, measured, formula in row.lines():
+                if metric == "update":
+                    values = f"{float(measured):.6f},{float(formula):.6f},,"
+                else:
+                    values = f"{measured},{formula},{measured / n:.6f},{formula / n:.6f}"
+                lines.append(f"{pm.tau},{pm.p},{pm.k},{metric},{case},{values}")
+        return "\n".join(lines) + "\n"
 
     def to_text(self) -> str:
-        lines = []
         header = (
             f"{'params':>9} {'metric':>7} {'case':>6} {'measured':>9} "
             f"{'formula':>9} {'norm-meas':>10} {'norm-form':>10}"
         )
-        lines.append(header)
-        lines.append("-" * len(header))
-        deviations = []
+        lines = [header, "-" * len(header)]
         for row in self.rows:
             pm = row.params
             n = row.info_bits
-            lines.append(
-                f"{str(pm):>9} {'encode':>7} {'-':>6} {row.encode_measured:>9} "
-                f"{row.encode_formula:>9} {row.encode_measured / n:>10.4f} "
-                f"{row.encode_formula / n:>10.4f}"
-            )
-            for d in row.decode:
-                lines.append(
-                    f"{str(pm):>9} {'decode':>7} "
-                    f"{f'{d.pair[0]}+{d.pair[1]}':>6} {d.measured:>9} "
-                    f"{d.formula:>9} {d.measured / n:>10.4f} {d.formula / n:>10.4f}"
-                )
-                if d.deviation != 0:
-                    deviations.append((pm, d))
-            lines.append(
-                f"{str(pm):>9} {'update':>7} {'-':>6} "
-                f"{float(row.update.empirical):>9.4f} "
-                f"{float(row.update.closed_form):>9.4f} "
-                f"{'':>10} {'':>10}"
-            )
+            for metric, case, measured, formula in row.lines():
+                if metric == "update":
+                    values = f"{float(measured):>9.4f} {float(formula):>9.4f} {'':>10} {'':>10}"
+                else:
+                    values = (f"{measured:>9} {formula:>9} "
+                              f"{measured / n:>10.4f} {formula / n:>10.4f}")
+                lines.append(f"{str(pm):>9} {metric:>7} {case:>6} {values}")
             eo = row.evenodd_plus
+            classic = row.classic_update
             lines.append(
-                f"{str(pm):>9} {'': >7} {'ref':>6} "
-                f"tau=1: enc {float(eo['encode']):.4f} "
+                f"{str(pm):>9} {'': >7} {'ref':>6} tau=1: enc {float(eo['encode']):.4f} "
                 f"dec {float(eo['decode']):.4f} upd {float(eo['update']):.4f}"
-                + (
-                    f"; classic upd {float(row.classic_update):.4f}"
-                    if row.classic_update is not None
-                    else ""
-                )
+                + ("" if classic is None else f"; classic upd {float(classic):.4f}")
             )
-        if deviations:
-            lines.append("")
-            lines.append(
-                "schedule deviations (measured - formula; chain scheduling "
-                "differs from the recursive per-case walks):"
-            )
-            for pm, d in deviations:
-                lines.append(
-                    f"  {pm} columns {d.pair}: measured {d.measured}, "
-                    f"formula {d.formula}, delta {d.deviation:+d}"
-                )
-        skipped = [(row.params, pair) for row in self.rows for pair in row.skipped]
-        if skipped:
-            lines.append("")
-            lines.append(
-                "skipped pairs (the chain decoder stalls on them; `eoflex verify` says why):"
-            )
-            lines.extend(f"  {pm} columns {pair}" for pm, pair in skipped)
+        sections = {
+            "schedule deviations (measured - formula; chain scheduling differs from the "
+            "recursive per-case walks):": [
+                f"  {row.params} columns {d.pair}: measured {d.measured}, "
+                f"formula {d.formula}, delta {d.measured - d.formula:+d}"
+                for row in self.rows for d in row.decode if d.measured != d.formula
+            ],
+            "skipped pairs (the chain decoder stalls on them; `eoflex verify` says why):": [
+                f"  {row.params} columns {pair}" for row in self.rows for pair in row.skipped
+            ],
+        }
+        for title, items in sections.items():
+            if items:
+                lines += ["", title, *items]
         return "\n".join(lines)
 
 

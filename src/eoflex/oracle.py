@@ -14,7 +14,9 @@ identity.
 `rank_check` names the column pairs no decoder can recover.  For the
 others, `check_program` proves a compiled encode or decode program exact
 on every codeword at once, with no random data: the program runs once on
-the generator's rows.
+the generator's rows.  `tau1_equivalence_check` proves, on the generator,
+that the tau = 1 instance is EVENODD+ (the single-common-bit code); the
+classic-EVENODD baseline it is compared with is `metrics.evenodd_params`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import Underdetermined
-from .params import CodeParams
+from .params import CodeParams, validate_params
 from .program import CACHE_SIZE, Program
 
 
@@ -201,3 +203,23 @@ def rank_check(params: CodeParams) -> list[tuple[int, int]]:
         for pair in itertools.combinations(range(params.k + 2), 2)
         if not erasure_solver(params, pair).full_rank
     ]
+
+
+def tau1_equivalence_check(p: int, k: int) -> bool:
+    """Check, exactly and on the generator matrix, that the tau = 1
+    instance is the single-common-bit code: one common bit, fed by the
+    diagonal ending at the virtual row, added to exactly the first
+    2*floor(k/2) diagonal-parity rows.  Each diagonal-parity row minus the
+    bare diagonal must equal the common bit's set below that threshold
+    and be empty above it."""
+    params = validate_params(1, p, k)
+    if params.t != 1 or params.n_c != 2 * (k // 2):
+        return False
+    g = generator_matrix(params)
+    rows = params.rows
+    common = sum(1 << (j * rows + rows - j) for j in range(1, k))
+    for i in range(rows):
+        diag = sum(1 << (j * rows + r) for j in range(k) if (r := (i - j) % params.ring) < rows)
+        if g.bits[(k + 1) * rows + i] ^ diag != (common if i < params.n_c else 0):
+            return False
+    return True

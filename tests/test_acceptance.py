@@ -26,11 +26,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import ACCEPTANCE_SETS, deficient_pairs
-from eoflex.baseline import (
-    evenodd_params,
-    evenodd_update_formula,
-    tau1_equivalence_check,
-)
 from eoflex.codearray import CodeArray
 from eoflex.codec import encode
 from eoflex.decoder import recovery_program
@@ -41,10 +36,12 @@ from eoflex.metrics import (
     count_encode_xors,
     decode_xor_formula,
     encode_xor_formula,
+    evenodd_params,
     evenodd_plus_reference,
+    evenodd_update_formula,
     measure_update_complexity,
 )
-from eoflex.oracle import check_program, erasure_solver, rank_check
+from eoflex.oracle import check_program, erasure_solver, rank_check, tau1_equivalence_check
 from eoflex.params import validate_params
 from eoflex.shardio import reconstruct, shard_file, shard_path
 

@@ -2,15 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from eoflex.baseline import (
-    evenodd_params,
-    evenodd_update_formula,
-    tau1_equivalence_check,
-)
 from eoflex.codearray import CodeArray
 from eoflex.codec import encode, encoding_program
-from eoflex.errors import PNotPrime, PTooSmall
-from eoflex.metrics import measure_update_complexity
+from eoflex.errors import PNotOdd, PNotPrime, PTooSmall
+from eoflex.metrics import evenodd_params, evenodd_update_formula, measure_update_complexity
+from eoflex.oracle import tau1_equivalence_check
 
 
 def evenodd_encode(grid, p, k):
@@ -55,6 +51,9 @@ class TestClassicEncoder:
             evenodd_params(9, 3)
         with pytest.raises(PTooSmall):
             evenodd_params(3, 5)
+        # 2 is prime, but no validated code has p = 2.
+        with pytest.raises(PNotOdd):
+            evenodd_params(2, 2)
 
 
 def classic_update(p, k):

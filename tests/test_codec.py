@@ -4,7 +4,6 @@ import random
 import pytest
 
 from conftest import ACCEPTANCE_SETS, evaluate
-from eoflex.baseline import evenodd_params
 from eoflex.codearray import CodeArray, xor_lanes
 from eoflex.codec import (
     common_bit_participants,
@@ -15,6 +14,7 @@ from eoflex.codec import (
     update_positions,
 )
 from eoflex.errors import ParityColumnNotUpdatable
+from eoflex.metrics import evenodd_params
 from eoflex.params import validate_params
 
 PRM = validate_params(2, 5, 3)

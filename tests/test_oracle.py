@@ -3,10 +3,10 @@ import itertools
 import pytest
 
 from conftest import ACCEPTANCE_SETS, deficient_pairs
-from eoflex.baseline import evenodd_params
 from eoflex.codearray import CodeArray
 from eoflex.codec import encode
 from eoflex.errors import Underdetermined
+from eoflex.metrics import evenodd_params
 from eoflex.oracle import (
     encode_bits,
     erasure_solver,
