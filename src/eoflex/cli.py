@@ -13,9 +13,10 @@ parameters whose decoder cannot recover some pair.
 
 Exit status 0 on success, nonzero with a one-line diagnostic otherwise.
 
-A call builds only the parser of the subcommand its first word names
-(`build_parser`): about 0.3 ms, against 0.9 ms for all four, which on a
-small object cost more than the read itself.  No parser is cached.  Only
+A call that names a command is parsed by that command's own parser, the
+subparser `build_parser` would hand it to: about 0.12 ms to build and run,
+against 0.53 ms to build the full parser, in a 0.47 ms small-object decode
+(Python 3.11, shared 2-core Xeon container).  No parser is cached.  Only
 `verify` and `bench` import the report code (`oracle`, `metrics`, `csv`),
 so `encode` and `decode` load none of it.
 """
@@ -153,35 +154,34 @@ COMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `eoflex` parser, with only the subparser of `command` when it
-    names one of COMMANDS, and with all four otherwise (None, an option
-    such as -h, an unknown name), so that the top-level help and the
-    invalid-choice error list every subcommand.  The lean parser prints
-    the same text and exits with the same status as the full one for any
-    argv whose first word is `command`.  Building the full parser takes
-    about 0.9 ms, the lean one about 0.3 ms (Python 3.11, shared 2-core
-    Xeon container): argparse, not the code, dominated a small object's
-    call."""
+def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    """`parser` with the arguments and handler of command `name`."""
+    COMMANDS[name][1](parser)
+    parser.set_defaults(func=COMMANDS[name][2], command=name)
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full `eoflex` parser, with all four subparsers, for an argv that
+    names no command or that its command's parser leaves words of: about
+    0.53 ms to build, against 0.09 ms for one command's parser (Python 3.11)."""
     # `eoflex -h` prints the module docstring up to its last paragraph.
     description = __doc__ and __doc__.rpartition("\n\n")[0]
     parser = argparse.ArgumentParser(prog="eoflex", description=description)
-    lean = command in COMMANDS
-    # The metavar keeps a lean usage line listing every subcommand.  The full
-    # parser goes without, so that an empty argv reports "command" missing.
-    metavar = "{" + ",".join(COMMANDS) + "}" if lean else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in [command] if lean else COMMANDS:
-        help_text, add_arguments, handler = COMMANDS[name]
-        subparser = sub.add_parser(name, help=help_text)
-        add_arguments(subparser)
-        subparser.set_defaults(func=handler)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in COMMANDS.items():
+        _command_parser(sub.add_parser(name, help=help_text), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = extra = None
+    if argv and argv[0] in COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"eoflex {argv[0]}")
+        args, extra = _command_parser(parser, argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParameterError, CodeError, OSError) as exc:

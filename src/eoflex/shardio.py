@@ -136,6 +136,11 @@ class ShardHeader:
             )
         return cls(version, tau, p, k, column, lane_width, stripes, length)
 
+    def set_fields(self) -> tuple:
+        """Every field but column_index: what all shards of one set share."""
+        return (self.version, self.tau, self.p, self.k, self.lane_width, self.stripe_count,
+                self.original_length)
+
     def payload_length(self, params: CodeParams) -> int:
         return self.stripe_count * params.rows * self.lane_width
 
@@ -360,7 +365,10 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     rejected: list[str] = []
     reference: ShardHeader | None = None
     reference_path = None
-    for path in sorted(Path(directory).glob("shard_*.eof")):
+    directory, names = Path(directory), []
+    with suppress(OSError):  # a missing directory holds no shard
+        names = [n for n in os.listdir(directory) if n.startswith("shard_") and n.endswith(".eof")]
+    for path in map(directory.joinpath, sorted(names)):
         try:
             fh = stack.enter_context(open(path, "rb", buffering=0, opener=_open_nonblocking))
         except OSError as exc:
@@ -377,7 +385,7 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
             continue
         if reference is None:
             reference, reference_path = header, path
-        elif dataclasses.replace(header, column_index=reference.column_index) != reference:
+        elif header.set_fields() != reference.set_fields():
             raise HeaderMismatch(f"{path} disagrees with other shards")
         column = header.column_index
         if column > header.k + 1:

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import eoflex
+from eoflex import cli
 from eoflex.cli import DEFAULT_BENCH_SETS, build_parser, main
 from eoflex.metrics import complexity_report
 from eoflex.params import validate_params
@@ -157,6 +158,15 @@ class TestEncodeDecode:
         )
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "regular file"])
+    def test_shard_dir_that_is_no_directory(self, capsys, tmp_path, kind):
+        shards = tmp_path / "shards"
+        if kind == "regular file":
+            shards.write_bytes(b"shard_0.eof")
+        code, out, err = run(capsys, "decode", str(shards), str(tmp_path / "o.bin"))
+        assert (code, out, err) == (2, "", "error: no readable shards found\n")
+        assert not (tmp_path / "o.bin").exists()
 
     def test_too_many_missing_is_diagnosed(self, capsys, tmp_path, rng):
         src = tmp_path / "file.bin"
@@ -383,9 +393,10 @@ def add_parser_calls(monkeypatch):
 
 
 class TestLeanParser:
-    """`main` builds only the subparser its first word names, and all four
-    when that word names none; what either parser prints, and its exit
-    status, are the same."""
+    """`main` parses with the parser of the subcommand its first word names,
+    and falls back to the full parser (`build_parser`) only when that word
+    names none or the parse leaves arguments over.  What it prints, its exit
+    status and the namespace it hands the handler are the full parser's."""
 
     ARGVS = [
         [], ["-h"], ["frob"],
@@ -393,19 +404,68 @@ class TestLeanParser:
         ["encode", "-h"], ["encode", "--tau", "x", "a", "b"],
         ["verify", "--tau", "2"],
         ["bench", "-h"], ["bench", "--csv"],
+        # Parses that reach the handler.
+        ["encode", "--tau", "2", "--p", "5", "--k", "3", "a", "b"],
+        ["encode", "--tau", "2", "--p", "5", "--k", "3", "--lane-width", "64", "a", "b"],
+        ["decode", "a", "b"],
+        ["verify", "--tau", "2", "--p", "5", "--k", "3"],
+        ["bench"],
+        ["bench", "--params-file", "f.csv", "--csv", "o.csv"],
+        ["encode", "--tau=2", "--p", "5", "--k", "3", "a", "b"],
+        ["encode", "--t", "2", "--p", "5", "--k", "3", "--la", "64", "a", "b"],
+        ["verify", "--t", "2", "--p", "5", "--k", "3"],
+        ["bench", "--p", "f.csv", "--csv=o.csv"],
+        ["verify", "--tau", "1", "--tau", "2", "--p", "5", "--k", "3"],
+        ["encode", "a", "b", "--tau", "2", "--p", "5", "--k", "3"],
+        ["encode", "a", "--tau", "2", "b", "--p", "5", "--k", "3"],
+        ["decode", "--", "a", "b"],
+        ["decode", "a", "--", "b"],
+        ["decode", "a", "b", "--"],
+        ["encode", "--tau", "2", "--p", "5", "--k", "3", "--", "-a", "b"],
+        # Parses that end in help or an error.
+        ["decode", "-x", "a", "b"],
+        ["decode", "a", "b", "-h"],
+        ["decode", "a", "b", "c", "-h"],
+        ["decode", "--", "a", "b", "c"],
+        ["decode", "a"],
+        ["verify", "--tau", "2", "--p", "5", "--k", "3", "extra"],
+        ["verify", "-h"],
+        ["encode", "--tau", "2", "--p", "5", "--k", "3", "a", "b", "c"],
+        ["encode", "--tau", "2", "--p", "5", "--k", "3", "--lane-width", "x", "a", "b"],
+        ["encode", "--tau", "2", "--p", "5", "--k", "3", "--lane", "a", "b"],
+        ["bench", "extra"],
+        ["bench", "--params-file"],
+        ["decode", "--he"],
+        ["--help"], ["-x"], ["--", "decode", "a", "b"], ["Decode", "a", "b"],
     ]
 
     @staticmethod
-    def parse(capsys, parser, argv):
-        with pytest.raises(SystemExit) as exit_info:
-            parser.parse_args(argv)
+    def outcome(capsys, parse, argv):
+        """(stdout, stderr, exit status, namespace) of `parse(argv)`: the
+        status of the SystemExit it raised, or None and the namespace it
+        returned."""
+        namespace = code = None
+        try:
+            namespace = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
         out, err = capsys.readouterr()
-        return out, err, exit_info.value.code
+        return out, err, code, namespace
 
     @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
-    def test_same_output_as_the_full_parser(self, capsys, argv):
-        lean = self.parse(capsys, build_parser(argv[0] if argv else None), argv)
-        assert lean == self.parse(capsys, build_parser(), argv)
+    def test_same_output_as_the_full_parser(self, capsys, monkeypatch, argv):
+        # Every handler records the namespace it is called with.
+        seen = []
+        for name, (help_text, add_arguments, _) in list(cli.COMMANDS.items()):
+            monkeypatch.setitem(cli.COMMANDS, name,
+                                (help_text, add_arguments, lambda args: seen.append(args) or 0))
+
+        def via_main(argv):
+            assert main(argv) == 0
+            return seen.pop()
+
+        assert self.outcome(capsys, via_main, argv) == \
+            self.outcome(capsys, build_parser().parse_args, argv)
 
     def test_no_arguments_names_the_missing_command(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -415,11 +475,14 @@ class TestLeanParser:
         assert err.endswith("error: the following arguments are required: command\n")
 
     def test_help_ends_its_description_where_the_docstring_turns_to_the_code(self, capsys):
-        out, _, code = self.parse(capsys, build_parser(), ["-h"])
+        out, _, code, _ = self.outcome(capsys, build_parser().parse_args, ["-h"])
         assert code == 0
         assert "diagnostic otherwise. positional arguments:" in " ".join(out.split())
 
-    @pytest.mark.parametrize("argv", [[], ["-h"], ["frob"]], ids=["no arguments", "-h", "frob"])
+    # The full parser, and with it every subparser, is built only for an argv
+    # that names no command or that the command's own parser leaves words of.
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["frob"], ["decode", "a", "b", "c"]],
+                             ids=["no arguments", "-h", "frob", "decode a b c"])
     def test_no_command_builds_every_subparser(self, capsys, monkeypatch, argv):
         calls = add_parser_calls(monkeypatch)
         with pytest.raises(SystemExit):
@@ -427,15 +490,15 @@ class TestLeanParser:
         capsys.readouterr()
         assert calls == ["encode", "decode", "verify", "bench"]
 
-    def test_encode_and_decode_build_one_subparser(self, capsys, monkeypatch, tmp_path, rng):
+    def test_encode_and_decode_build_no_subparser(self, capsys, monkeypatch, tmp_path, rng):
         src = tmp_path / "file.bin"
         src.write_bytes(rng.randbytes(1000))
         calls = add_parser_calls(monkeypatch)
         code, _, _ = run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
                          str(src), str(tmp_path / "s"))
-        assert (code, calls) == (0, ["encode"])
+        assert (code, calls) == (0, [])
         code, _, _ = run(capsys, "decode", str(tmp_path / "s"), str(tmp_path / "out.bin"))
-        assert (code, calls) == (0, ["encode", "decode"])
+        assert (code, calls) == (0, [])
         assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
 
 

@@ -612,6 +612,27 @@ class TestMalformedShards:
             reconstruct(shards, tmp_path / "out.bin")
 
 
+def test_shard_names_are_shard_star_eof(tmp_path, rng):
+    # Only the names shard_*.eof are read: the copies of column 0 under
+    # other names are never opened, and the two junk entries whose names
+    # fit are rejected for their content.
+    _, shards = encoded(tmp_path, rng, 30_000)
+    column_0 = shard_path(shards, 0).read_bytes()
+    for c in (0, 1, 2):
+        shard_path(shards, c).unlink()
+    for name in (".shard_0.eof", "shard_0.eof.tmp", "Shard_0.eof"):
+        (shards / name).write_bytes(column_0)
+    (shards / "shard_junk.eof").write_bytes(b"junk")
+    (shards / "shard_.eof").write_bytes(b"")
+    with pytest.raises(TooManyMissing) as info:
+        reconstruct(shards, tmp_path / "out.bin")
+    assert str(info.value) == (
+        "3 shards missing, can recover at most 2; rejected "
+        f"{shards / 'shard_.eof'} (shard too short for header), "
+        f"{shards / 'shard_junk.eof'} (shard too short for header)"
+    )
+
+
 def reconstruct_or_fail(shards, out, seconds=30):
     """Run reconstruct(shards, out) in a worker thread and return or raise
     what it does.  A read still blocked after `seconds` fails the test
