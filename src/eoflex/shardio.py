@@ -366,7 +366,7 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     reference: ShardHeader | None = None
     reference_path = None
     directory, names = Path(directory), []
-    with suppress(OSError):  # a missing directory holds no shard
+    with suppress(OSError):  # no directory (missing, or a file): no shard
         names = [n for n in os.listdir(directory) if n.startswith("shard_") and n.endswith(".eof")]
     for path in map(directory.joinpath, sorted(names)):
         try:
