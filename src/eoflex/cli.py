@@ -13,12 +13,18 @@ parameters whose decoder cannot recover some pair.
 
 Exit status 0 on success, nonzero with a one-line diagnostic otherwise.
 
-A call that names a command is parsed by that command's own parser, the
-subparser `build_parser` would hand it to: about 0.12 ms to build and run,
-against 0.53 ms to build the full parser, in a 0.47 ms small-object decode
-(Python 3.11, shared 2-core Xeon container).  No parser is cached.  Only
-`verify` and `bench` import the report code (`oracle`, `metrics`, `csv`),
-so `encode` and `decode` load none of it.
+A plain decode, `decode A B` with neither word starting with "-", builds
+no parser: argparse takes such words as positionals, so `main` builds the
+namespace argparse would.  Any other call that names a command is parsed
+by that command's own parser, the subparser `build_parser` would hand it
+to, which takes 0.1-0.2 ms to build and run; encode keeps it, because its
+int options, abbreviations and `--tau=2` forms are argparse's to parse.
+The full parser (0.5-0.9 ms) is built only for an argv that names no
+command or that the command's parser leaves words of.  No parser is
+cached.  A small-object decode takes 0.3-0.4 ms in all (Python 3.11,
+shared 2-core Xeon container).  Only `verify` and `bench` import the
+report code (`oracle`, `metrics`, `csv`), so `encode` and `decode` load
+none of it.
 """
 
 from __future__ import annotations
@@ -163,8 +169,8 @@ def _command_parser(parser: argparse.ArgumentParser, name: str) -> argparse.Argu
 
 def build_parser() -> argparse.ArgumentParser:
     """The full `eoflex` parser, with all four subparsers, for an argv that
-    names no command or that its command's parser leaves words of: about
-    0.53 ms to build, against 0.09 ms for one command's parser (Python 3.11)."""
+    names no command or that its command's parser leaves words of (see the
+    module docstring for what each parser costs)."""
     # `eoflex -h` prints the module docstring up to its last paragraph.
     description = __doc__ and __doc__.rpartition("\n\n")[0]
     parser = argparse.ArgumentParser(prog="eoflex", description=description)
@@ -177,7 +183,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = extra = None
-    if argv and argv[0] in COMMANDS:
+    if len(argv) == 3 and argv[0] == "decode" and not argv[1].startswith("-") \
+            and not argv[2].startswith("-"):
+        # argparse takes words that do not start with "-" as positionals, so
+        # this is the namespace it would build.
+        args = argparse.Namespace(shard_dir=argv[1], output=argv[2],
+                                  func=COMMANDS["decode"][2], command="decode")
+    elif argv and argv[0] in COMMANDS:
         parser = argparse.ArgumentParser(prog=f"eoflex {argv[0]}")
         args, extra = _command_parser(parser, argv[0]).parse_known_args(argv[1:])
     if args is None or extra:

@@ -59,9 +59,15 @@ at most once (see `decoder`) and writes the lost columns into their
 cells, and the information lanes are written with `os.writev`, the mirror
 image of a write.  Healthy reads keep their own buffer because one
 `write` of it is faster than `os.writev` of its lanes.  The output is
-written to a temporary file beside it, which takes the permission bits
+written to a temporary file beside it, `.<name>.<8 hex digits>.tmp` with
+<name> cut short to stay within NAME_MAX, which takes the permission bits
 of an output it replaces and is renamed into place after the last batch,
-so a failed read leaves an existing output untouched.
+so a failed read leaves an existing output untouched.  Besides its I/O a
+read makes few system calls, as on a small object they are most of its
+cost: one `os.stat` of the output (and of its directory only when the
+output is absent), one listing of the shard directory, and per shard one
+`open` and one `os.fstat`, whose result also serves the check that the
+output is not a shard the read uses.
 """
 
 from __future__ import annotations
@@ -100,6 +106,7 @@ DEFAULT_SHARD_LANE_WIDTH = 4096
 BATCH_BYTES = 2**20  # source bytes per batch; at least one stripe
 BATCH_LANES = 4096  # lanes (k * rows * stripes) per batch at most; at least one stripe
 IOV_MAX = 1024  # views per os.readv or os.writev call: the limit on Linux, macOS and the BSDs
+NAME_MAX = 255  # bytes in a file name: the limit on Linux, macOS and the BSDs
 
 
 @dataclasses.dataclass(frozen=True)
@@ -352,23 +359,25 @@ def _open_nonblocking(path, flags: int) -> int:
 
 def _open_shards(directory: str | os.PathLike, stack: ExitStack):
     """Open the usable shards on `stack`: returns (reference header,
-    params, column -> unbuffered file positioned at its payload).  An entry
-    that cannot be opened or is not a regular file (no FIFO is waited on),
-    or whose header fails its CRC, or whose payload length is not what the
-    header implies, counts as missing (an erasure of that column); if more
-    than two columns are missing, TooManyMissing names each such entry and
-    why it was rejected.  A header of another format version raises
-    UnsupportedVersion.  Headers that disagree, a column index above k+1,
-    two shards of one column, a lane width of 0 and a stripe count that
-    does not fit the original length raise HeaderMismatch."""
+    params, column -> unbuffered file positioned at its payload, column ->
+    that file's `os.fstat` result).  An entry that cannot be opened or is
+    not a regular file (no FIFO is waited on), or whose header fails its
+    CRC, or whose payload length is not what the header implies, counts as
+    missing (an erasure of that column); if more than two columns are
+    missing, TooManyMissing names each such entry and why it was rejected.
+    A header of another format version raises UnsupportedVersion.  Headers
+    that disagree, a column index above k+1, two shards of one column, a
+    lane width of 0 and a stripe count that does not fit the original
+    length raise HeaderMismatch."""
     found: dict[int, tuple] = {}
     rejected: list[str] = []
     reference: ShardHeader | None = None
     reference_path = None
-    directory, names = Path(directory), []
+    names = []
     with suppress(OSError):  # no directory (missing, or a file): no shard
         names = [n for n in os.listdir(directory) if n.startswith("shard_") and n.endswith(".eof")]
-    for path in map(directory.joinpath, sorted(names)):
+    for name in sorted(names):
+        path = os.path.join(directory, name)
         try:
             fh = stack.enter_context(open(path, "rb", buffering=0, opener=_open_nonblocking))
         except OSError as exc:
@@ -379,7 +388,7 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
             rejected.append(f"{path} (not a regular file)")
             continue
         try:
-            header = ShardHeader.unpack(fh.read(HEADER_SIZE), str(path))
+            header = ShardHeader.unpack(fh.read(HEADER_SIZE), path)
         except CrcFailure as exc:
             rejected.append(f"{path} ({exc})")
             continue
@@ -392,7 +401,7 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
             raise HeaderMismatch(f"{path} names column {column}, above k+1 = {header.k + 1}")
         if column in found:
             raise HeaderMismatch(f"{path} and {found[column][0]} both hold column {column}")
-        found[column] = (path, fh, status.st_size - HEADER_SIZE)
+        found[column] = (path, fh, status)
     if reference is None:
         raise _too_many_missing("no readable shards found", rejected)
     params = validate_params(reference.tau, reference.p, reference.k)
@@ -405,15 +414,16 @@ def _open_shards(directory: str | os.PathLike, stack: ExitStack):
             f"{reference.original_length} bytes, which fill {stripes}"
         )
     payload = reference.payload_length(params)
-    shards = {}
-    for c, (path, fh, size) in found.items():
-        if size == payload:
+    shards, statuses = {}, {}
+    for c, (path, fh, status) in found.items():
+        if (size := status.st_size - HEADER_SIZE) == payload:
             shards[c] = fh
+            statuses[c] = status
         else:
             rejected.append(f"{path} (payload {size} bytes where {payload} were expected)")
     if (missing := params.k + 2 - len(shards)) > 2:
         raise _too_many_missing(f"{missing} shards missing, can recover at most 2", rejected)
-    return reference, params, shards
+    return reference, params, shards, statuses
 
 
 def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) -> int:
@@ -422,25 +432,31 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
     Missing or corrupt shards (up to two) are treated as column erasures.
     The file is rebuilt one batch of stripes at a time into a temporary
     file beside `output_path`, renamed into place after the last batch;
-    on failure the temporary file is removed.  An `output_path` that is a
-    directory, or whose directory does not exist, raises an OSError naming
-    it before any shard is read; one that is a shard the read uses raises
-    ShardInUse before anything is written.  Returns the number of bytes
-    written.
+    on failure the temporary file is removed.  Before any shard is read,
+    an output that is a directory raises IsADirectoryError naming it, one
+    whose directory does not exist FileNotFoundError naming it, and one
+    that `os.stat` fails on for any other reason, such as a name too long,
+    that error.  An output that is a shard the read uses raises ShardInUse
+    before anything is written.  Returns the number of bytes written.
     """
-    output = Path(output_path)
-    if output.is_dir():
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(output))
-    if not output.parent.is_dir():
-        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(output))
+    output = os.fspath(output_path)
+    try:
+        status = os.stat(output)
+    except FileNotFoundError:
+        status = None
+        head, name = os.path.split(output)
+        if not name or not os.path.isdir(head or os.curdir):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output) from None
+    else:
+        if stat.S_ISDIR(status.st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
     with ExitStack() as stack:
-        ref, params, shards = _open_shards(directory, stack)
-        with suppress(FileNotFoundError):
-            status = output.stat()
-            for fh in shards.values():
-                if os.path.samestat(os.fstat(fh.fileno()), status):
+        ref, params, shards, statuses = _open_shards(directory, stack)
+        if status is not None:
+            for c, fh in shards.items():
+                if os.path.samestat(statuses[c], status):
                     raise ShardInUse(f"output {output} is shard file {fh.name}, which the read uses")
-        return _restore(ref, params, shards, output)
+        return _restore(ref, params, shards, output, status)
 
 
 def _read_into(fh, views, width: int) -> None:
@@ -450,7 +466,19 @@ def _read_into(fh, views, width: int) -> None:
         raise HeaderMismatch(f"{fh.name} ended early")
 
 
-def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
+def _temp_path(output: str) -> str:
+    """A fresh path for a temporary file beside `output`,
+    `.<name>.<8 hex digits>.tmp`, with the output's name cut short by whole
+    characters so that it stays within NAME_MAX bytes."""
+    head, name = os.path.split(output)
+    most = NAME_MAX - len(".." + "0" * 8 + ".tmp")
+    name = name[:most]
+    while len(os.fsencode(name)) > most:
+        name = name[:-1]
+    return os.path.join(head, f".{name}.{os.urandom(4).hex()}.tmp")
+
+
+def _restore(ref: ShardHeader, params: CodeParams, shards, output: str, status) -> int:
     """Stream the original file out of the open `shards` into `output`.
 
     With every column present, one output buffer in the source's order
@@ -464,7 +492,8 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
     os.writev, the mirror image of a write.  A set of 0 stripes compiles
     no program and allocates no buffer.  A buffer this process cannot
     allocate raises LaneWidthOutOfRange before the output is created.  The
-    output keeps the permission bits of a file it replaces."""
+    output keeps the permission bits of the file it replaces, whose
+    `os.stat` result is `status` (None for a new output)."""
     k, rows, lane_width = params.k, params.rows, ref.lane_width
     missing = [c for c in range(k + 2) if c not in shards]
     degraded = bool(missing) and ref.stripe_count > 0
@@ -481,7 +510,7 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
         lanes = _lanes([buf], lane_width)
         columns = {c: lanes[c::k] for c in read}
         out_views, out_width = [buf], len(buf)
-    temp = output.parent / f".{output.name}.{os.urandom(4).hex()}.tmp"
+    temp = _temp_path(output)
     left = ref.original_length
     try:
         with open(temp, "xb", buffering=0) as out:
@@ -497,10 +526,11 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: Path) -> int:
                 if rest:
                     _write_all(out.fileno(), [out_views[full][:rest]], rest)
                 left -= size
-        with suppress(FileNotFoundError):
-            os.chmod(temp, stat.S_IMODE(os.stat(output).st_mode))
+        if status is not None:
+            os.chmod(temp, stat.S_IMODE(status.st_mode))
         os.replace(temp, output)
     except BaseException:
-        temp.unlink(missing_ok=True)
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
         raise
     return ref.original_length - left

@@ -437,6 +437,9 @@ class TestLeanParser:
         ["bench", "--params-file"],
         ["decode", "--he"],
         ["--help"], ["-x"], ["--", "decode", "a", "b"], ["Decode", "a", "b"],
+        # Decode words that are or look like options, or hold a space.
+        ["decode", "", "b"], ["decode", "a b", "c"], ["decode", "-", "b"],
+        ["decode", "a", "-b"], ["decode", "--", "-a", "b"],
     ]
 
     @staticmethod
@@ -499,6 +502,24 @@ class TestLeanParser:
         assert (code, calls) == (0, [])
         code, _, _ = run(capsys, "decode", str(tmp_path / "s"), str(tmp_path / "out.bin"))
         assert (code, calls) == (0, [])
+        assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+
+    def test_decode_builds_no_parser_and_encode_one(self, capsys, monkeypatch, tmp_path, rng):
+        src = tmp_path / "file.bin"
+        src.write_bytes(rng.randbytes(1000))
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        code, _, _ = run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+                         str(src), str(tmp_path / "s"))
+        assert (code, built) == (0, ["eoflex encode"])
+        code, _, _ = run(capsys, "decode", str(tmp_path / "s"), str(tmp_path / "out.bin"))
+        assert (code, built) == (0, ["eoflex encode"])
         assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
 
 

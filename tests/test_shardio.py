@@ -555,6 +555,67 @@ class TestOutputMode:
         assert want == 0o640
         assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == want
 
+class TestOutputPath:
+    """What `reconstruct` accepts as its output, and how it names one it
+    refuses."""
+
+    def test_directory_is_refused_by_name(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 1000)
+        out = tmp_path / "outdir"
+        out.mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            reconstruct(shards, str(out))
+        assert info.value.filename == str(out)
+        assert list(out.iterdir()) == []
+
+    def test_missing_directory_is_refused_by_name(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 1000)
+        out = tmp_path / "nodir" / "out.bin"
+        with pytest.raises(FileNotFoundError) as info:
+            reconstruct(shards, str(out))
+        assert info.value.filename == str(out)
+        assert not (tmp_path / "nodir").exists()
+
+    def test_bare_name_is_in_the_current_directory(self, tmp_path, rng, monkeypatch):
+        src, shards = encoded(tmp_path, rng, 1000)
+        here = tmp_path / "here"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        assert reconstruct(str(shards), "out.bin") == 1000
+        assert os.listdir(here) == ["out.bin"]
+        assert sha(here / "out.bin") == sha(src)
+
+    def test_path_objects(self, tmp_path, rng):
+        src, shards = encoded(tmp_path, rng, 1000)
+        shard_path(shards, 1).unlink()
+        assert reconstruct(shards, tmp_path / "out.bin") == 1000
+        assert sha(tmp_path / "out.bin") == sha(src)
+
+    def test_name_over_name_max_is_refused_by_name(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 1000)
+        out = tmp_path / ("n" * 256)
+        with pytest.raises(OSError) as info:
+            reconstruct(shards, out)
+        assert (info.value.errno, info.value.filename) == (errno.ENAMETOOLONG, str(out))
+        assert not list(tmp_path.glob(".*"))
+
+    # The temporary file beside the output gets a name of its own that must
+    # fit in NAME_MAX (255 bytes) too.
+    @pytest.mark.parametrize("name", ["n" * 255, "\u00e9" * 127 + "n", "n" * 241],
+                             ids=["255 ascii", "255 bytes of utf-8", "241 ascii"])
+    @pytest.mark.parametrize("lost", [(), (0, 2)], ids=["healthy", "degraded"])
+    def test_longest_name(self, tmp_path, rng, name, lost):
+        src, shards = encoded(tmp_path, rng, 3000)
+        for c in lost:
+            shard_path(shards, c).unlink()
+        outdir = tmp_path / "outdir"
+        outdir.mkdir()
+        (outdir / name).touch()
+        assert reconstruct(shards, outdir / name) == 3000
+        assert os.listdir(outdir) == [name]
+        assert sha(outdir / name) == sha(src)
+
+
 class TestMalformedShards:
     def test_truncated_shard_is_an_erasure(self, tmp_path, rng):
         src, shards = encoded(tmp_path, rng, 30_000)
