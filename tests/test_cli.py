@@ -455,7 +455,8 @@ class TestLeanParser:
         out, err = capsys.readouterr()
         return out, err, code, namespace
 
-    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no arguments")
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(
+        word if word and " " not in word else repr(word) for word in argv) or "no arguments")
     def test_same_output_as_the_full_parser(self, capsys, monkeypatch, argv):
         # Every handler records the namespace it is called with.
         seen = []

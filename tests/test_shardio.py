@@ -555,6 +555,7 @@ class TestOutputMode:
         assert want == 0o640
         assert stat.S_IMODE((tmp_path / "out.bin").stat().st_mode) == want
 
+
 class TestOutputPath:
     """What `reconstruct` accepts as its output, and how it names one it
     refuses."""
