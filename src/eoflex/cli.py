@@ -21,10 +21,10 @@ to, which takes 0.1-0.2 ms to build and run; encode keeps it, because its
 int options, abbreviations and `--tau=2` forms are argparse's to parse.
 The full parser (0.5-0.9 ms) is built only for an argv that names no
 command or that the command's parser leaves words of.  No parser is
-cached.  A small-object decode takes 0.3-0.4 ms in all (Python 3.11,
-shared 2-core Xeon container).  Only `verify` and `bench` import the
-report code (`oracle`, `metrics`, `csv`), so `encode` and `decode` load
-none of it.
+cached.  A small-object decode takes 0.3-0.4 ms in all, and an encode
+0.4-0.5 ms (Python 3.11, shared 2-core Xeon container).  Only `verify`
+and `bench` import the report code (`oracle`, `metrics`, `csv`), so
+`encode` and `decode` load none of it.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ caller's buffer fills that buffer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 from .errors import TooManyErasures
 from .params import CodeParams
@@ -38,18 +38,19 @@ class CodeArray:
 
     Encode and decode overwrite the cells of the columns they fill.  Built
     without `cells`, the array allocates one zeroed `bytearray` per cell;
-    given `cells` are used as they are, and must be distinct writable
-    buffers of the lane width (`bytearray`s or views of one).  `set`
-    replaces a cell with a writable copy of its value, so a lane taken
-    earlier with `get` keeps its bytes.  Distinct arrays over distinct
-    buffers are independent and may be processed in parallel.
+    given `cells` are used as they are, and must be distinct writable buffers
+    of the lane width (`bytearray`s or views of one), which `check=False`
+    does not check.  `set` replaces a cell with a writable copy of its value,
+    so a lane taken earlier with `get` keeps its bytes.  Distinct arrays over
+    distinct buffers are independent and may be processed in parallel.
     """
 
     params: CodeParams
     lane_width: int = DEFAULT_LANE_WIDTH
     cells: list[list[Lane]] = field(default=None)  # type: ignore[assignment]
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
         if self.lane_width < 1:
             raise ValueError(f"lane width must be >= 1, got {self.lane_width}")
         if self.cells is None:
@@ -57,7 +58,7 @@ class CodeArray:
                 [bytearray(self.lane_width) for _ in range(self.params.k + 2)]
                 for _ in range(self.params.rows)
             ]
-        else:
+        elif check:
             if len(self.cells) != self.params.rows:
                 raise ValueError("cell grid row count does not match params")
             for row in self.cells:

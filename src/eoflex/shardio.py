@@ -38,36 +38,41 @@ A write rewrites existing shard files in place rather than truncating
 them, which on ext4 would free their blocks and force write-back on close.
 Each shard is opened once, created if absent; its header is overwritten
 with zeros before any payload byte, the payload follows, the file is
-truncated at the end of the payload and only then gets its real header.
-A write that raises, or a process killed part way, thus leaves shards
-whose header fails its CRC, which read as missing.  Nothing is synced, so
-this order holds only in the page cache: after a crash of the machine or
-a power loss during a rewrite, the disk may hold the new payload under
-the old header, or the new header over part of the old payload, and as
-only the header has a CRC a read can then return wrong bytes without an
-error.  Shards shard_<c>.eof with c >= k+2, left by an earlier set with
-more columns, are removed.
+truncated at the end of the payload if it was longer and only then gets
+its real header.  A write that raises, or a process killed part way, thus
+leaves shards whose header fails its CRC, which read as missing.  Nothing
+is synced, so this order holds only in the page cache: after a crash of
+the machine or a power loss during a rewrite, the disk may hold the new
+payload under the old header, or the new header over part of the old
+payload, and as only the header has a CRC a read can then return wrong
+bytes without an error.  Shards shard_<c>.eof with c >= k+2, left by an
+earlier set with more columns, are removed.  Besides its I/O a write makes
+one listing of the directory and per shard one `os.stat`, for the check
+that the input is no shard it replaces and for the truncation, one `open`,
+one `write` of the zeroed header, one `os.pwrite` of the real one and one
+`close`.
 
-A read with every column present reuses one output buffer in the
-source's order, reads each information shard straight into that column's
-lanes of it with `os.readv` and writes it with one call per batch, so it
-only moves bytes.  A read with a column lost uses a write's cell-major
-buffer instead, with lane views of only the columns it reads and of the
-information columns: each shard the decode program reads is loaded into
-its column's lanes with `os.readv`, `decode` converts each cell to an int
-at most once (see `decoder`) and writes the lost columns into their
-cells, and the information lanes are written with `os.writev`, the mirror
-image of a write.  Healthy reads keep their own buffer because one
-`write` of it is faster than `os.writev` of its lanes.  The output is
-written to a temporary file beside it, `.<name>.<8 hex digits>.tmp` with
-<name> cut short to stay within NAME_MAX, which takes the permission bits
-of an output it replaces and is renamed into place after the last batch,
-so a failed read leaves an existing output untouched.  Besides its I/O a
-read makes few system calls, as on a small object they are most of its
-cost: one `os.stat` of the output (and of its directory only when the
-output is absent), one listing of the shard directory, and per shard one
-`open` and one `os.fstat`, whose result also serves the check that the
-output is not a shard the read uses.
+A read with every column present reuses one output buffer in the source's
+order, reads each information shard straight into that column's lanes of it
+with `os.readv` and writes it with one call per batch, so it only moves
+bytes.  A read with a column lost uses a write's cell-major buffer instead,
+with lane views of only the columns it reads and of the information
+columns: each shard the decode program reads is loaded into its column's
+lanes with `os.readv`, `decode` converts each cell to an int at most once
+(see `decoder`) and writes the lost columns into their cells, and the
+information lanes are written with `os.writev`, the mirror image of a
+write.  Healthy reads keep their own buffer because one `write` of it is
+faster than `os.writev` of its lanes.  The output is written to a temporary
+file beside it, `.<name>.<8 hex digits>.tmp` with <name> cut short to stay
+within NAME_MAX, which takes the permission bits of an output it replaces
+and is renamed into place after the last batch, so a failed read leaves an
+existing output untouched; an output that is not a regular file, such as a
+FIFO or /dev/null, is written directly, and what a failed read wrote into a
+pipe stays written.  Besides its I/O a read makes few system calls, as on a
+small object they are most of its cost: one `os.stat` of the output (and of
+its directory only when the output is absent), one listing of the shard
+directory, and per shard one `open` and one `os.fstat`, whose result also
+serves the check that the output is not a shard the read uses.
 """
 
 from __future__ import annotations
@@ -75,7 +80,6 @@ from __future__ import annotations
 import dataclasses
 import errno
 import os
-import re
 import stat
 import struct
 import zlib
@@ -121,9 +125,7 @@ class ShardHeader:
     original_length: int
 
     def pack(self) -> bytes:
-        body = _HEADER.pack(MAGIC, self.version, self.tau, self.p, self.k, self.column_index,
-                            self.lane_width, self.stripe_count, self.original_length)
-        return body + struct.pack("<I", zlib.crc32(body))
+        return _pack_header(*dataclasses.astuple(self))
 
     @classmethod
     def unpack(cls, raw: bytes, name: str = "shard") -> "ShardHeader":
@@ -152,6 +154,12 @@ class ShardHeader:
         return self.stripe_count * params.rows * self.lane_width
 
 
+def _pack_header(*fields: int) -> bytes:
+    """The header of `fields`, in ShardHeader's order, with its CRC."""
+    body = _HEADER.pack(MAGIC, *fields)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
 def shard_path(directory: str | os.PathLike, column: int) -> Path:
     return Path(directory) / f"shard_{column}.eof"
 
@@ -166,18 +174,13 @@ def _stripes_per_batch(params: CodeParams, lane_width: int) -> int:
 
 def _lanes(cells, lane_width: int) -> list[memoryview]:
     """Views of the lanes of `cells`, buffers of equal length, stripe by
-    stripe: lane 0 of every cell in turn, then lane 1, and so on.  Read or
-    written in this order, the views put a shard's or the source's bytes
-    into the cells, or take them out, with no copy in between."""
-    views = [memoryview(cell) for cell in cells]
+    stripe: lane 0 of every cell in turn, then lane 1, and so on (views of
+    one lane are their own).  Read or written in this order, the views put
+    a shard's or the source's bytes into the cells, or take them out."""
+    views = cells if isinstance(cells[0], memoryview) else [memoryview(c) for c in cells]
+    if len(views[0]) == lane_width:
+        return list(views)
     return [v[n : n + lane_width] for n in range(0, len(views[0]), lane_width) for v in views]
-
-
-def _check_lane_width(lane_width: int) -> None:
-    if not 1 <= lane_width <= MAX_LANE_WIDTH:
-        raise LaneWidthOutOfRange(
-            f"lane width must be in [1, {MAX_LANE_WIDTH}], got {lane_width}"
-        )
 
 
 def _cell_buffer(cells: int, width: int, lane_width: int) -> list[memoryview]:
@@ -210,11 +213,12 @@ def _batch_buffer(params: CodeParams, stripes: int, lane_width: int, columns):
 
 def _batch_array(params: CodeParams, lane_width: int, stripes: int, cells) -> CodeArray:
     """CodeArray over the first `stripes` stripes of a batch buffer's
-    `cells` (see `_batch_buffer`)."""
+    `cells` (see `_batch_buffer`), unchecked: `_cell_buffer` carved them."""
     n, width = params.k + 2, stripes * lane_width
     if width < len(cells[0]):
         cells = [cell[:width] for cell in cells]
-    return CodeArray(params, width, [cells[r * n : (r + 1) * n] for r in range(params.rows)])
+    rows = [cells[r * n : (r + 1) * n] for r in range(params.rows)]
+    return CodeArray(params, width, rows, check=False)
 
 
 def _vectored(move, views, width: int, step: int) -> int:
@@ -256,13 +260,13 @@ def _write_all(fd: int, views, width: int) -> None:
         raise OSError(errno.EIO, f"a write to fd {fd} wrote nothing")
 
 
-def _stale_shards(directory: Path, k: int) -> list[Path]:
-    """shard_<c>.eof for every integer c >= k+2 in `directory`: the higher
-    columns of an earlier set, which a read would take as part of this
-    one."""
-    return [path for path in directory.iterdir()
-            if (match := re.fullmatch(r"shard_([1-9][0-9]*)\.eof", path.name))
-            and int(match[1]) >= k + 2]
+def _stale_shards(prefix: str, k: int) -> list[str]:
+    """shard_<c>.eof in the directory `prefix`, ending in a separator, for
+    every c >= k+2 in ASCII digits with no leading zero: the higher columns
+    of an earlier set, which a read would take as part of this one."""
+    return [prefix + name for name in os.listdir(prefix)
+            if name[:6] == "shard_" and name[-4:] == ".eof" and (c := name[6:-4]).isascii()
+            and c.isdigit() and c[0] != "0" and int(c) >= k + 2]
 
 
 def shard_file(
@@ -282,49 +286,56 @@ def shard_file(
     input ends whatever its size.  A buffer this process cannot allocate
     raises LaneWidthOutOfRange before the output directory is touched.
     Existing shard files are rewritten in place, and nothing is synced:
-    the header is zeroed first, the payload written, the file truncated at
+    the header is zeroed first, the payload written, a longer file cut at
     its end, and the real header, which holds the length, written last, so
     a write that raises leaves shards that read as missing (a crash of the
-    machine may not; see the module docstring).  Shard files of columns k+2 and above are removed.
-    Parameters whose decoder cannot recover the loss of some column pair
-    are refused with UndecodablePairs before anything is opened.  An
-    input that is one of the shard files the write would overwrite or
-    remove raises ShardInUse before any file is written or removed."""
-    _check_lane_width(lane_width)
+    machine may not; see the module docstring).  Shard files of columns
+    k+2 and above are removed.  Parameters whose decoder cannot recover
+    the loss of some column pair are refused with UndecodablePairs before
+    anything is opened.  An input that is one of the shard files the write
+    would overwrite or remove raises ShardInUse before any file is written
+    or removed."""
+    if not 1 <= lane_width <= MAX_LANE_WIDTH:
+        raise LaneWidthOutOfRange(f"lane width must be in [1, {MAX_LANE_WIDTH}], got {lane_width}")
     if bad := undecodable_pairs(params):
         raise UndecodablePairs(params, bad)
     k, rows = params.k, params.rows
     stripe_bytes = k * rows * lane_width
-    outdir = Path(output_dir)
-    paths = [shard_path(outdir, c) for c in range(k + 2)]
+    outdir = os.fspath(output_dir) or os.curdir
+    prefix = os.path.join(outdir, "")
+    paths = [f"{prefix}shard_{c}.eof" for c in range(k + 2)]
     with open(input_path, "rb", buffering=0) as src, ExitStack() as stack:
         per_batch = _stripes_per_batch(params, lane_width)
         status = os.fstat(src.fileno())
         if stat.S_ISREG(status.st_mode):
             per_batch = min(per_batch, max(1, -(-status.st_size // stripe_bytes)))
         cells, lanes, source = _batch_buffer(params, per_batch, lane_width, range(k + 2))
-        # A directory this creates holds no file the input could be.
-        outdir.mkdir(parents=True, exist_ok=True)
-        stale = _stale_shards(outdir, k)
+        stale = []  # a directory this creates holds no file the input could be
+        try:
+            stale = _stale_shards(prefix, k)
+        except (FileNotFoundError, NotADirectoryError):
+            os.makedirs(outdir, exist_ok=True)
+        longest = 0  # bytes in the longest shard there is
         for path in paths + stale:
             with suppress(FileNotFoundError):
-                if os.path.samestat(status, os.stat(path)):
-                    raise ShardInUse(f"input {input_path} is shard file {path}, which encoding "
-                                     f"into {outdir} would overwrite or remove")
+                if os.path.samestat(status, shard := os.stat(path)):
+                    raise ShardInUse(f"input {input_path} is shard file {Path(path)}, which "
+                                     f"encoding into {Path(outdir)} would overwrite or remove")
+                longest = max(longest, shard.st_size)
         for path in stale:
-            path.unlink()
+            os.unlink(path)
         fds = []
         for path in paths:
             fds.append(os.open(path, os.O_RDWR | os.O_CREAT, 0o666))
             stack.callback(os.close, fds[-1])
-        for fd in fds:
-            _write_all(fd, [bytes(HEADER_SIZE)], HEADER_SIZE)
+        for fd in fds:  # 48 bytes at the start of a file: written whole or not at all
+            os.write(fd, bytes(HEADER_SIZE))
         length = 0
         while got := _fill(src, source, lane_width):
             length += got
             stripes = -(-got // stripe_bytes)
             filled = stripes * rows * k
-            if got < filled * lane_width:  # the last stripe is padded
+            if got < filled * lane_width and length > got:  # pad; a first batch is zeroed
                 full, offset = divmod(got, lane_width)
                 zero = bytes(lane_width)
                 for view in source[full:filled]:
@@ -336,13 +347,14 @@ def shard_file(
             if got < len(source) * lane_width:
                 break
         stripe_count = -(-length // stripe_bytes)
+        end = HEADER_SIZE + stripe_count * rows * lane_width
         for c, fd in enumerate(fds):
-            os.ftruncate(fd, HEADER_SIZE + stripe_count * rows * lane_width)
-            os.lseek(fd, 0, os.SEEK_SET)
-            header = ShardHeader(VERSION, params.tau, params.p, k, c, lane_width,
-                                 stripe_count, length).pack()
-            _write_all(fd, [header], HEADER_SIZE)
-    return paths
+            if longest > end:  # otherwise each shard ends at `end` already
+                os.ftruncate(fd, end)
+            os.pwrite(fd, _pack_header(VERSION, params.tau, params.p, k, c, lane_width,
+                                       stripe_count, length), 0)
+    base = Path(outdir)
+    return [base / f"shard_{c}.eof" for c in range(k + 2)]
 
 
 def _too_many_missing(message: str, rejected: list[str]) -> TooManyMissing:
@@ -432,12 +444,15 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
     Missing or corrupt shards (up to two) are treated as column erasures.
     The file is rebuilt one batch of stripes at a time into a temporary
     file beside `output_path`, renamed into place after the last batch;
-    on failure the temporary file is removed.  Before any shard is read,
-    an output that is a directory raises IsADirectoryError naming it, one
-    whose directory does not exist FileNotFoundError naming it, and one
-    that `os.stat` fails on for any other reason, such as a name too long,
-    that error.  An output that is a shard the read uses raises ShardInUse
-    before anything is written.  Returns the number of bytes written.
+    on failure the temporary file is removed.  An output that is not a
+    regular file, such as a FIFO or /dev/null, is written directly: opening
+    a FIFO waits for a reader, and a failed read cannot take back what it
+    wrote into a pipe.  Before any shard is read, an output that is a
+    directory raises IsADirectoryError naming it, one whose directory does
+    not exist FileNotFoundError naming it, and one that `os.stat` fails on
+    for any other reason, such as a name too long, that error.  An output
+    that is a shard the read uses raises ShardInUse before anything is
+    written.  Returns the number of bytes written.
     """
     output = os.fspath(output_path)
     try:
@@ -510,10 +525,11 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: str, status) 
         lanes = _lanes([buf], lane_width)
         columns = {c: lanes[c::k] for c in read}
         out_views, out_width = [buf], len(buf)
-    temp = _temp_path(output)
+    direct = status is not None and not stat.S_ISREG(status.st_mode)  # a FIFO, a device
+    target = output if direct else _temp_path(output)
     left = ref.original_length
     try:
-        with open(temp, "xb", buffering=0) as out:
+        with open(target, "wb" if direct else "xb", buffering=0) as out:
             for first in range(0, ref.stripe_count, per_batch or 1):
                 stripes = min(per_batch, ref.stripe_count - first)
                 for c in read:
@@ -526,11 +542,13 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: str, status) 
                 if rest:
                     _write_all(out.fileno(), [out_views[full][:rest]], rest)
                 left -= size
-        if status is not None:
-            os.chmod(temp, stat.S_IMODE(status.st_mode))
-        os.replace(temp, output)
+        if not direct:
+            if status is not None:
+                os.chmod(target, stat.S_IMODE(status.st_mode))
+            os.replace(target, output)
     except BaseException:
-        with suppress(FileNotFoundError):
-            os.unlink(temp)
+        if not direct:
+            with suppress(FileNotFoundError):
+                os.unlink(target)
         raise
     return ref.original_length - left

@@ -38,6 +38,15 @@ def test_given_cells_are_validated(lane_width, cells, match):
         CodeArray(PRM, lane_width, cells)
 
 
+def test_unchecked_cells_are_taken_as_they_are():
+    # check=False skips the cell checks for a caller that carved the cells
+    # itself; the lane width is still checked.
+    cells = grid(width=3)
+    assert CodeArray(PRM, 4, cells, check=False).cells is cells
+    with pytest.raises(ValueError, match="lane width must be >= 1"):
+        CodeArray(PRM, 0, cells, check=False)
+
+
 @pytest.mark.parametrize("lanes", [
     [b"\xff" * 4],
     [b"\xff" * 4] * (PRM.rows + 1),

@@ -14,7 +14,7 @@ import zlib
 
 import pytest
 
-from eoflex import shardio
+from eoflex import cli, shardio
 from eoflex.errors import (
     ChainStall,
     CrcFailure,
@@ -617,6 +617,39 @@ class TestOutputPath:
         assert sha(outdir / name) == sha(src)
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+class TestNonRegularOutput:
+    """An output that is not a regular file is written into, not replaced
+    by a regular file, and no temporary file is made beside it."""
+
+    @pytest.mark.parametrize("lost", [(), (0, 2)], ids=["healthy", "degraded"])
+    def test_fifo_with_a_reader(self, tmp_path, rng, lost):
+        src, shards = encoded(tmp_path, rng, PER_BATCH * STRIPE + 5000, lane_width=LANE)
+        for c in lost:
+            shard_path(shards, c).unlink()
+        out = tmp_path / "out.fifo"
+        os.mkfifo(out)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(out.read_bytes()), daemon=True)
+        reader.start()
+        assert reconstruct_or_fail(shards, out) == PER_BATCH * STRIPE + 5000
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert got == [src.read_bytes()]
+        assert stat.S_ISFIFO(out.lstat().st_mode)
+        assert sorted(tmp_path.iterdir()) == sorted([src, shards, out])
+
+    def test_dev_null(self, tmp_path, rng):
+        # Through a link, so that an output replaced by a regular file would
+        # replace the link and not the device.
+        src, shards = encoded(tmp_path, rng, 30_000)
+        null = tmp_path / "null"
+        null.symlink_to(os.devnull)
+        assert reconstruct(shards, null) == 30_000
+        assert null.is_symlink() and stat.S_ISCHR(null.stat().st_mode)
+        assert sorted(tmp_path.iterdir()) == sorted([src, shards, null])
+
+
 class TestMalformedShards:
     def test_truncated_shard_is_an_erasure(self, tmp_path, rng):
         src, shards = encoded(tmp_path, rng, 30_000)
@@ -837,14 +870,72 @@ class TestRewrite:
         shard_file(tmp_path / "data.bin", PRM, shards, lane_width=64)
         assert stat.S_IMODE(shard_path(shards, 1).stat().st_mode) == 0o600
 
-    def test_removes_only_higher_shard_columns(self, tmp_path, rng):
+    def test_removes_only_higher_shard_columns(self, tmp_path, rng, capsys):
         src, shards = encoded(tmp_path, rng, 5000, prm=validate_params(1, 11, 7))
-        kept = ["shard_x.eof", "shard_9.eof.bak", "notes.txt"]
+        # Only a column number in ASCII digits without a leading zero, as
+        # a write names it, makes a stale shard.
+        kept = ["shard_x.eof", "shard_9.eof.bak", "notes.txt", "shard_09.eof", "shard_+9.eof",
+                "shard_ 9.eof", "shard_\u0669.eof", "shard_9.EOF"]
         for name in kept:
             (shards / name).write_bytes(b"kept")
+        (shards / "shard_9.eof").symlink_to(tmp_path / "nowhere")  # dangling: removed
         shard_file(src, PRM, shards, lane_width=64)
         assert sorted(path.name for path in shards.iterdir()) == sorted(
             kept + [shard_path(shards, c).name for c in range(PRM.k + 2)])
+        # A directory named like a stale shard cannot be removed: the encode
+        # fails before it opens any shard.
+        (shards / "shard_9.eof").mkdir()
+        before = shard_bytes(shards)
+        code = cli.main(["encode", "--tau", "2", "--p", "5", "--k", "3", "--lane-width", "64",
+                         str(src), str(shards)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert shard_bytes(shards) == before
+
+    @pytest.mark.parametrize("lane_width", [32, 256])
+    @pytest.mark.parametrize("triple", [(1, 11, 7), (3, 9, 3)])
+    @pytest.mark.parametrize("old_stripes", [1, 3])
+    @pytest.mark.parametrize("change", ["same", "larger", "smaller"])
+    def test_matches_a_fresh_directory_at_small_shapes(self, tmp_path, rng, change, old_stripes,
+                                                        triple, lane_width):
+        # A one-stripe batch hands out its cells as lanes, and a shard no
+        # longer than its new length is not truncated.
+        prm = validate_params(*triple)
+        stripe = prm.k * prm.rows * lane_width
+        old_size = old_stripes * stripe - 100
+        new_size = {"same": old_size, "larger": old_size + stripe, "smaller": old_size // 2}[change]
+        _, shards = encoded(tmp_path, rng, old_size, prm=prm, lane_width=lane_width)
+        src = tmp_path / "new.bin"
+        src.write_bytes(rng.randbytes(new_size))
+        shard_file(src, prm, shards, lane_width=lane_width)
+        shard_file(src, prm, tmp_path / "fresh", lane_width=lane_width)
+        columns = range(prm.k + 2)
+        assert [shard_path(shards, c).read_bytes() for c in columns] == \
+            [shard_path(tmp_path / "fresh", c).read_bytes() for c in columns]
+        stripes = -(-new_size // stripe)
+        for c in columns:
+            assert shard_path(shards, c).stat().st_size == \
+                HEADER_SIZE + stripes * prm.rows * lane_width
+        out = tmp_path / "out.bin"
+        reconstruct(shards, out)
+        assert sha(out) == sha(src)
+
+    def test_truncates_only_a_longer_shard(self, tmp_path, rng, monkeypatch):
+        src, shards = encoded(tmp_path, rng, 5000)
+        real_ftruncate, lengths = os.ftruncate, []
+
+        def counting_ftruncate(fd, length):
+            lengths.append(length)
+            real_ftruncate(fd, length)
+
+        monkeypatch.setattr(os, "ftruncate", counting_ftruncate)
+        for size, truncated in [(5000, []), (7000, []), (1000, [HEADER_SIZE + PRM.rows * 64] * 5)]:
+            src.write_bytes(rng.randbytes(size))
+            lengths.clear()
+            shard_file(src, PRM, shards, lane_width=64)
+            assert lengths == truncated
+            reconstruct(shards, tmp_path / "out.bin")
+            assert sha(tmp_path / "out.bin") == sha(src)
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
