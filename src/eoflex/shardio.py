@@ -54,25 +54,25 @@ one `write` of the zeroed header, one `os.pwrite` of the real one and one
 
 A read with every column present reuses one output buffer in the source's
 order, reads each information shard straight into that column's lanes of it
-with `os.readv` and writes it with one call per batch, so it only moves
-bytes.  A read with a column lost uses a write's cell-major buffer instead,
-with lane views of only the columns it reads and of the information
-columns: each shard the decode program reads is loaded into its column's
-lanes with `os.readv`, `decode` converts each cell to an int at most once
-(see `decoder`) and writes the lost columns into their cells, and the
-information lanes are written with `os.writev`, the mirror image of a
-write.  Healthy reads keep their own buffer because one `write` of it is
-faster than `os.writev` of its lanes.  The output is written to a temporary
-file beside it, `.<name>.<8 hex digits>.tmp` with <name> cut short to stay
-within NAME_MAX, which takes the permission bits of an output it replaces
-and is renamed into place after the last batch, so a failed read leaves an
-existing output untouched; an output that is not a regular file, such as a
-FIFO or /dev/null, is written directly, and what a failed read wrote into a
-pipe stays written.  Besides its I/O a read makes few system calls, as on a
-small object they are most of its cost: one `os.stat` of the output (and of
-its directory only when the output is absent), one listing of the shard
-directory, and per shard one `open` and one `os.fstat`, whose result also
-serves the check that the output is not a shard the read uses.
+with `os.readv` and writes it with one call per batch, so it only moves bytes.
+A read with a column lost uses a write's cell-major buffer instead, with lane
+views of only the columns it reads and of the information columns: each shard
+the decode program reads is loaded into its column's lanes with `os.readv`,
+`decode` converts each cell to an int at most once (see `decoder`) and writes
+the lost columns into their cells, and the information lanes are written with
+`os.writev`, the mirror image of a write.  Healthy reads keep their own buffer
+because one `write` of it is faster than `os.writev` of its lanes.  The
+output, or the regular file it links to, is written to a temporary file beside
+it, `.<name>.<8 hex digits>.tmp` with <name> cut short to stay within
+NAME_MAX, which takes the permission bits of an output it replaces and is
+renamed into place after the last batch, so a failed read leaves an existing
+output untouched; an output that is not a regular file, such as a FIFO or
+/dev/null, is written directly, and what a failed read wrote into a pipe stays
+written.  Besides its I/O a read makes few system calls, as on a small object
+they are most of its cost: one `os.stat` of the output (plus an `os.lstat` of
+a regular one, or a stat of the directory of an absent one), one listing of
+the shard directory, and per shard one `open` and one `os.fstat`, whose result
+also serves the check that the output is not a shard the read uses.
 """
 
 from __future__ import annotations
@@ -353,8 +353,7 @@ def shard_file(
                 os.ftruncate(fd, end)
             os.pwrite(fd, _pack_header(VERSION, params.tau, params.p, k, c, lane_width,
                                        stripe_count, length), 0)
-    base = Path(outdir)
-    return [base / f"shard_{c}.eof" for c in range(k + 2)]
+    return [Path(outdir, f"shard_{c}.eof") for c in range(k + 2)]
 
 
 def _too_many_missing(message: str, rejected: list[str]) -> TooManyMissing:
@@ -443,18 +442,18 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
 
     Missing or corrupt shards (up to two) are treated as column erasures.
     The file is rebuilt one batch of stripes at a time into a temporary
-    file beside `output_path`, renamed into place after the last batch;
-    on failure the temporary file is removed.  An output that is not a
-    regular file, such as a FIFO or /dev/null, is written directly: opening
-    a FIFO waits for a reader, and a failed read cannot take back what it
-    wrote into a pipe.  Before any shard is read, an output that is a
-    directory raises IsADirectoryError naming it, one whose directory does
-    not exist FileNotFoundError naming it, and one that `os.stat` fails on
-    for any other reason, such as a name too long, that error.  An output
-    that is a shard the read uses raises ShardInUse before anything is
-    written.  Returns the number of bytes written.
-    """
-    output = os.fspath(output_path)
+    file beside `output_path`, or beside the regular file a link there
+    names, renamed into place after the last batch; on failure the
+    temporary file is removed.  An output that is not a regular file, such
+    as a FIFO or /dev/null, is written directly: opening a FIFO waits for a
+    reader, and a failed read cannot take back what it wrote into a pipe.
+    Before any shard is read, an output that is a directory raises
+    IsADirectoryError naming it, one whose directory does not exist
+    FileNotFoundError naming it, and one that `os.stat` fails on for any
+    other reason, such as a name too long, that error.  An output that is
+    a shard the read uses raises ShardInUse before anything is written.
+    Returns the number of bytes written."""
+    output = real = os.fspath(output_path)
     try:
         status = os.stat(output)
     except FileNotFoundError:
@@ -465,13 +464,15 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
     else:
         if stat.S_ISDIR(status.st_mode):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
+        if stat.S_ISREG(status.st_mode) and os.path.islink(output):
+            real = os.path.realpath(output)  # the file is replaced, not the link
     with ExitStack() as stack:
         ref, params, shards, statuses = _open_shards(directory, stack)
         if status is not None:
             for c, fh in shards.items():
                 if os.path.samestat(statuses[c], status):
                     raise ShardInUse(f"output {output} is shard file {fh.name}, which the read uses")
-        return _restore(ref, params, shards, output, status)
+        return _restore(ref, params, shards, real, status)
 
 
 def _read_into(fh, views, width: int) -> None:

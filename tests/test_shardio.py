@@ -616,6 +616,34 @@ class TestOutputPath:
         assert os.listdir(outdir) == [name]
         assert sha(outdir / name) == sha(src)
 
+    @pytest.mark.parametrize("lost", [(), (0, 2)], ids=["healthy", "degraded"])
+    def test_link_to_a_file_stays_a_link(self, tmp_path, rng, lost):
+        # The file the link names is replaced, by way of a temporary file
+        # beside it, and not the link.
+        src, shards = encoded(tmp_path, rng, 3000)
+        for c in lost:
+            shard_path(shards, c).unlink()
+        (tmp_path / "data").mkdir()
+        target = tmp_path / "data" / "out.bin"
+        target.write_bytes(b"old")
+        link = tmp_path / "link"
+        link.symlink_to(os.path.join("data", "out.bin"))
+        assert reconstruct(shards, link) == 3000
+        assert os.readlink(link) == os.path.join("data", "out.bin")
+        assert sha(target) == sha(src)
+        assert os.listdir(tmp_path / "data") == ["out.bin"]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_descriptor_link_to_a_file(self, tmp_path, rng):
+        # As `decode DIR /dev/stdout > FILE` hands it over: a link to an open
+        # descriptor of a regular file.  FILE is replaced, in its directory.
+        src, shards = encoded(tmp_path, rng, 3000)
+        out = tmp_path / "out.bin"
+        with open(out, "wb") as fh:
+            assert reconstruct(shards, f"/proc/self/fd/{fh.fileno()}") == 3000
+        assert sha(out) == sha(src)
+        assert sorted(tmp_path.iterdir()) == sorted([src, shards, out])
+
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
 class TestNonRegularOutput:
@@ -810,15 +838,24 @@ class TestRewrite:
     @pytest.mark.parametrize("new_size", [OLD_SIZE, 2 * PER_BATCH * STRIPE + 777, 3000],
                              ids=["same", "larger", "smaller"])
     def test_matches_a_fresh_directory(self, tmp_path, rng, new_size):
-        _, shards = encoded(tmp_path, rng, self.OLD_SIZE, lane_width=LANE)
+        self.check_rewrite(tmp_path, rng, PRM, LANE, self.OLD_SIZE, new_size)
+
+    @staticmethod
+    def check_rewrite(tmp_path, rng, prm, lane_width, old_size, new_size):
+        """A set of `new_size` bytes written over one of `old_size` bytes
+        equals a fresh directory's, is cut to its own length and decodes."""
+        _, shards = encoded(tmp_path, rng, old_size, prm=prm, lane_width=lane_width)
         src = tmp_path / "new.bin"
         src.write_bytes(rng.randbytes(new_size))
-        shard_file(src, PRM, shards, lane_width=LANE)
-        shard_file(src, PRM, tmp_path / "fresh", lane_width=LANE)
-        assert shard_bytes(shards) == shard_bytes(tmp_path / "fresh")
-        stripes = -(-new_size // STRIPE)
-        for c in range(PRM.k + 2):
-            assert shard_path(shards, c).stat().st_size == HEADER_SIZE + stripes * PRM.rows * LANE
+        shard_file(src, prm, shards, lane_width=lane_width)
+        shard_file(src, prm, tmp_path / "fresh", lane_width=lane_width)
+        columns = range(prm.k + 2)
+        assert [shard_path(shards, c).read_bytes() for c in columns] == \
+            [shard_path(tmp_path / "fresh", c).read_bytes() for c in columns]
+        stripes = -(-new_size // (prm.k * prm.rows * lane_width))
+        for c in columns:
+            assert shard_path(shards, c).stat().st_size == \
+                HEADER_SIZE + stripes * prm.rows * lane_width
         out = tmp_path / "out.bin"
         reconstruct(shards, out)
         assert sha(out) == sha(src)
@@ -904,21 +941,7 @@ class TestRewrite:
         stripe = prm.k * prm.rows * lane_width
         old_size = old_stripes * stripe - 100
         new_size = {"same": old_size, "larger": old_size + stripe, "smaller": old_size // 2}[change]
-        _, shards = encoded(tmp_path, rng, old_size, prm=prm, lane_width=lane_width)
-        src = tmp_path / "new.bin"
-        src.write_bytes(rng.randbytes(new_size))
-        shard_file(src, prm, shards, lane_width=lane_width)
-        shard_file(src, prm, tmp_path / "fresh", lane_width=lane_width)
-        columns = range(prm.k + 2)
-        assert [shard_path(shards, c).read_bytes() for c in columns] == \
-            [shard_path(tmp_path / "fresh", c).read_bytes() for c in columns]
-        stripes = -(-new_size // stripe)
-        for c in columns:
-            assert shard_path(shards, c).stat().st_size == \
-                HEADER_SIZE + stripes * prm.rows * lane_width
-        out = tmp_path / "out.bin"
-        reconstruct(shards, out)
-        assert sha(out) == sha(src)
+        self.check_rewrite(tmp_path, rng, prm, lane_width, old_size, new_size)
 
     def test_truncates_only_a_longer_shard(self, tmp_path, rng, monkeypatch):
         src, shards = encoded(tmp_path, rng, 5000)
