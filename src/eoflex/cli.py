@@ -9,7 +9,8 @@ benchmark XOR complexity.
 `verify` proves, for every pair of lost columns, that the program a
 decode runs recovers every codeword exactly (see `oracle.check_program`);
 it uses no random data and exits 1 if any pair fails.  `encode` refuses
-parameters whose decoder cannot recover some pair.
+parameters whose decoder cannot recover some pair.  `decode` prints its
+status line to stderr, so a decode into /dev/stdout writes only the data.
 
 Exit status 0 on success, nonzero with a one-line diagnostic otherwise.
 
@@ -73,19 +74,20 @@ def _decode_arguments(parser) -> None:
 
 def _cmd_decode(args) -> int:
     n = shardio.reconstruct(args.shard_dir, args.output)
-    print(f"reconstructed {n} bytes to {args.output}")
+    print(f"reconstructed {n} bytes to {args.output}", file=sys.stderr)
     return 0
 
 
 def _pair_status(params, pair) -> str:
-    """Prove the program `decode` runs for the loss of `pair`."""
+    """Prove the program `decode` runs for the loss of `pair`; where it
+    does not compile, the dense rank tells why."""
     from . import oracle
 
-    if not oracle.erasure_solver(params, pair).full_rank:
-        return "FAIL (rank deficient)"
     try:
         program = recovery_program(params, pair)
     except ChainStall:
+        if not oracle.erasure_solver(params, pair).full_rank:
+            return "FAIL (rank deficient)"
         return "FAIL (chain decoder stalls on a full-rank pair)"
     faults = len(oracle.check_program(params, program))
     return f"FAIL ({faults} cells differ from the generator)" if faults else "OK"

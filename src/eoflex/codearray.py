@@ -6,6 +6,8 @@ the same XOR equations.  So a lane may also concatenate the same cell of
 many stripes, and one encode or decode then covers all of them.  Rows
 tau*(p-1) .. tau*p-1 of the subscript ring Z_{tau*p} are *virtual*: they
 are not stored, read as zero, and the encode and decode rules skip them.
+The cells are one flat row-major list, cell (i, j) at i*(k+2) + j: the
+layout of a shard batch buffer, whose cells an array takes as they are.
 Each cell is a writable buffer of its own, and encode and decode write
 their outputs into the cells the array holds, so an array laid over a
 caller's buffer fills that buffer.
@@ -14,7 +16,7 @@ caller's buffer fills that buffer.
 from __future__ import annotations
 
 import random
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 from .errors import TooManyErasures
 from .params import CodeParams
@@ -36,50 +38,43 @@ class CodeArray:
     """Dense row-major grid of lanes; columns 0..k-1 hold information,
     column k row parity, column k+1 diagonal parity.
 
-    Encode and decode overwrite the cells of the columns they fill.  Built
-    without `cells`, the array allocates one zeroed `bytearray` per cell;
-    given `cells` are used as they are, and must be distinct writable buffers
-    of the lane width (`bytearray`s or views of one), which `check=False`
-    does not check.  `set` replaces a cell with a writable copy of its value,
-    so a lane taken earlier with `get` keeps its bytes.  Distinct arrays over
+    `cells` is flat: cell (i, j) is `cells[i*(k+2) + j]`.  Encode and
+    decode overwrite the cells of the columns they fill.  Built without
+    `cells`, the array allocates one zeroed `bytearray` per cell; given
+    `cells` are used as they are, once their count and lane widths are
+    checked, and must be distinct writable buffers (`bytearray`s or views
+    of one).  `set` replaces a cell with a writable copy of its value, so
+    a lane taken earlier with `get` keeps its bytes.  Distinct arrays over
     distinct buffers are independent and may be processed in parallel.
     """
 
     params: CodeParams
     lane_width: int = DEFAULT_LANE_WIDTH
-    cells: list[list[Lane]] = field(default=None)  # type: ignore[assignment]
-    check: InitVar[bool] = True
+    cells: list[Lane] = field(default=None)  # type: ignore[assignment]
 
-    def __post_init__(self, check: bool):
+    def __post_init__(self):
         if self.lane_width < 1:
             raise ValueError(f"lane width must be >= 1, got {self.lane_width}")
+        count = self.params.rows * (self.params.k + 2)
         if self.cells is None:
-            self.cells = [
-                [bytearray(self.lane_width) for _ in range(self.params.k + 2)]
-                for _ in range(self.params.rows)
-            ]
-        elif check:
-            if len(self.cells) != self.params.rows:
-                raise ValueError("cell grid row count does not match params")
-            for row in self.cells:
-                if len(row) != self.params.k + 2:
-                    raise ValueError("cell grid column count does not match params")
-                for lane in row:
-                    if len(lane) != self.lane_width:
-                        raise ValueError("lane width mismatch in cell grid")
+            self.cells = [bytearray(self.lane_width) for _ in range(count)]
+        elif len(self.cells) != count:
+            raise ValueError(f"{len(self.cells)} cells given where params have {count}")
+        elif any(len(lane) != self.lane_width for lane in self.cells):
+            raise ValueError("lane width mismatch in cells")
 
     # -- accessors ---------------------------------------------------------
 
     def get(self, i: int, j: int) -> Lane:
-        return self.cells[i][j]
+        return self.cells[i * (self.params.k + 2) + j]
 
     def set(self, i: int, j: int, value: Lane) -> None:
         if len(value) != self.lane_width:
             raise ValueError("lane width mismatch")
-        self.cells[i][j] = bytearray(value)
+        self.cells[i * (self.params.k + 2) + j] = bytearray(value)
 
     def column(self, j: int) -> list[Lane]:
-        return [self.cells[i][j] for i in range(self.params.rows)]
+        return self.cells[j :: self.params.k + 2]
 
     def set_column(self, j: int, lanes: list[Lane]) -> None:
         """Set column j to `lanes`, one per row; a lane count other than
@@ -94,8 +89,7 @@ class CodeArray:
 
     def copy(self) -> "CodeArray":
         """An array with a copy of every cell."""
-        cells = [[bytearray(lane) for lane in row] for row in self.cells]
-        return CodeArray(self.params, self.lane_width, cells)
+        return CodeArray(self.params, self.lane_width, [bytearray(lane) for lane in self.cells])
 
     # -- constructors ------------------------------------------------------
 
@@ -115,7 +109,7 @@ class CodeArray:
         arr = cls(params, lane_width)
         for i in range(params.rows):
             for j in range(params.k):
-                arr.cells[i][j] = bytearray(rng.randbytes(lane_width))
+                arr.set(i, j, rng.randbytes(lane_width))
         return arr
 
 

@@ -40,12 +40,12 @@ class Program:
     """A compiled XOR schedule.
 
     Register 0 holds zero.  `inputs` is a flat tuple of (register, row,
-    column) triples, each loading one array cell, and `code` a flat tuple
-    of (dst, a, b) triples, each meaning reg[dst] = reg[a] ^ reg[b];
-    stage s is code[stages[s-1]:stages[s]] (from 0 for s = 0).  The
-    outputs carry their cells: `outputs` holds (register, row, column)
-    triples too, each storing a register into a cell.  `xors` pairs each
-    phase with the XORs the rules spent in it, one per instruction.
+    column) triples, each loading the array's flat cell row*(k+2) +
+    column, and `code` a flat tuple of (dst, a, b) triples, each meaning
+    reg[dst] = reg[a] ^ reg[b]; stage s is code[stages[s-1]:stages[s]]
+    (from 0 for s = 0).  `outputs` holds (register, row, column) triples
+    too, each storing a register into a cell.  `xors` pairs each phase
+    with the XORs the rules spent in it, one per instruction.
     """
 
     name: str
@@ -67,11 +67,11 @@ class Program:
 
     def load(self, array) -> list[int]:
         """Registers with the input cells of `array` loaded as ints."""
-        cells = array.cells
+        cells, n = array.cells, array.params.k + 2
         regs = [0] * self.registers
         it = iter(self.inputs)
         for r, i, j in zip(it, it, it):
-            regs[r] = int.from_bytes(cells[i][j], "little")
+            regs[r] = int.from_bytes(cells[i * n + j], "little")
         return regs
 
     def cell_values(self, regs: list[int]) -> dict[tuple[int, int], int]:
@@ -95,10 +95,10 @@ class Program:
     def store(self, regs: list[int], array) -> None:
         """Write each output into its cell of `array`: it overwrites the
         bytes of the cell the array holds, which must be writable."""
-        cells, width = array.cells, array.lane_width
+        cells, n, width = array.cells, array.params.k + 2, array.lane_width
         it = iter(self.outputs)
         for r, i, j in zip(it, it, it):
-            cells[i][j][:] = regs[r].to_bytes(width, "little")
+            cells[i * n + j][:] = regs[r].to_bytes(width, "little")
 
 
 class Builder:

@@ -24,15 +24,16 @@ Both directions stream the data in batches of BATCH_BYTES of source (at
 least one stripe), and of at most BATCH_LANES lanes, so memory use depends
 on the batch, not on the file or the lane width.  The kernel moves every
 lane, by scatter-gather I/O through lists of views (`_lanes`), at most
-IOV_MAX per call.  A write reuses one cell-major buffer for every batch
-(`_batch_buffer`), in which each cell over all the batch's stripes is one
-contiguous slice.  The source is read with `os.readv` straight into the
-information cells, lane by lane in its own order; the compiled encode
-program runs once on the whole batch (`_batch_array` wraps the cells in
-one CodeArray) and writes the parity into the buffer's parity cells; and
-each shard is written from its column's lanes with `os.writev`.  The input
-is read to its end, so it may be a pipe; the headers, which record its
-length, are written last.
+IOV_MAX per `os.readv` or `os.writev` call, so the tool is POSIX-only.  A
+write reuses one cell-major buffer for every batch (`_batch_buffer`), in
+which each cell over all the batch's stripes is one contiguous slice; the
+buffer's cells are the flat cells of the CodeArray the programs run on,
+cut to its width for a short last batch only.  The source is read with
+`os.readv` straight into the information cells, lane by lane in its own
+order; the encode program runs once on the whole batch and writes the
+parity into the buffer's parity cells; and each shard is written from its
+column's lanes with `os.writev`.  The input is read to its end, so it may
+be a pipe; the headers, which record its length, are written last.
 
 A write rewrites existing shard files in place rather than truncating
 them, which on ext4 would free their blocks and force write-back on close.
@@ -70,7 +71,7 @@ output untouched; an output that is not a regular file, such as a FIFO or
 /dev/null, is written directly, and what a failed read wrote into a pipe stays
 written.  Besides its I/O a read makes few system calls, as on a small object
 they are most of its cost: one `os.stat` of the output (plus an `os.lstat` of
-a regular one, or a stat of the directory of an absent one), one listing of
+a regular or absent one, and a stat of an absent one's directory), one listing of
 the shard directory, and per shard one `open` and one `os.fstat`, whose result
 also serves the check that the output is not a shard the read uses.
 """
@@ -198,37 +199,28 @@ def _cell_buffer(cells: int, width: int, lane_width: int) -> list[memoryview]:
 
 
 def _batch_buffer(params: CodeParams, stripes: int, lane_width: int, columns):
-    """The reused buffer of a batch of up to `stripes` stripes, as (cells,
-    lanes, source).  `cells` are the rows*(k+2) cells of the array, each
-    over every stripe, one after the other: cell (r, c) at r*(k+2) + c.
-    `lanes[c]` are the lanes of column c (`_lanes`) in shard order, for
-    each of `columns` and each information column, and `source` are the
-    information lanes in the source's order.  A buffer this process
-    cannot allocate raises LaneWidthOutOfRange."""
+    """The reused buffer of a batch of up to `stripes` stripes, as (array,
+    lanes, source).  `array` is the CodeArray over every stripe whose flat
+    cells lie one after the other in the buffer.  `lanes[c]` are the lanes
+    of column c (`_lanes`) in shard order, for each of `columns` and each
+    information column, and `source` are the information lanes in the
+    source's order.  A buffer this process cannot allocate raises
+    LaneWidthOutOfRange."""
     n = params.k + 2
     cells = _cell_buffer(params.rows * n, stripes * lane_width, lane_width)
     lanes = {c: _lanes(cells[c::n], lane_width) for c in {*range(params.k), *columns}}
-    return cells, lanes, [v for row in zip(*(lanes[j] for j in range(params.k))) for v in row]
+    source = [v for row in zip(*(lanes[j] for j in range(params.k))) for v in row]
+    return CodeArray(params, stripes * lane_width, cells), lanes, source
 
 
-def _batch_array(params: CodeParams, lane_width: int, stripes: int, cells) -> CodeArray:
-    """CodeArray over the first `stripes` stripes of a batch buffer's
-    `cells` (see `_batch_buffer`), unchecked: `_cell_buffer` carved them."""
-    n, width = params.k + 2, stripes * lane_width
-    if width < len(cells[0]):
-        cells = [cell[:width] for cell in cells]
-    rows = [cells[r * n : (r + 1) * n] for r in range(params.rows)]
-    return CodeArray(params, width, rows, check=False)
-
-
-def _vectored(move, views, width: int, step: int) -> int:
+def _vectored(move, views, width: int) -> int:
     """Move the bytes of `views`, each `width` bytes, in order: each call of
-    `move` gets up to `step` views, the first cut where the last call
+    `move` gets up to IOV_MAX views, the first cut where the last call
     stopped, and returns the bytes it moved.  Stops early when a call
     moves nothing; returns the bytes moved."""
     i = offset = done = 0
     while i < len(views):
-        if not (n := move([views[i][offset:], *views[i + 1 : i + step]])):
+        if not (n := move([views[i][offset:], *views[i + 1 : i + IOV_MAX]])):
             break
         done += n
         full, offset = divmod(offset + n, width)
@@ -238,25 +230,16 @@ def _vectored(move, views, width: int, step: int) -> int:
 
 def _fill(fh, views, width: int) -> int:
     """Read the unbuffered file `fh` from its position into `views`, each
-    `width` bytes, in order: one os.readv per IOV_MAX views, or readinto
-    per view where os.readv is missing.  Short reads, as from a pipe, are
-    finished.  Returns the bytes read, which fall short of the views only
-    at the end of the file."""
-    if readv := getattr(os, "readv", None):
-        fd = fh.fileno()
-        return _vectored(lambda chunk: readv(fd, chunk), views, width, IOV_MAX)
-    return _vectored(lambda chunk: fh.readinto(chunk[0]), views, width, 1)
+    `width` bytes, in order, one os.readv per IOV_MAX views.  Short reads,
+    as from a pipe, are finished.  Returns the bytes read, which fall short
+    of the views only at the end of the file."""
+    return _vectored(lambda chunk: os.readv(fh.fileno(), chunk), views, width)
 
 
 def _write_all(fd: int, views, width: int) -> None:
-    """Write `views`, each `width` bytes, in order to the raw file `fd`: one
-    os.writev per IOV_MAX views, or os.write per view where os.writev is
-    missing.  Partial writes are finished."""
-    if writev := getattr(os, "writev", None):
-        done = _vectored(lambda chunk: writev(fd, chunk), views, width, IOV_MAX)
-    else:
-        done = _vectored(lambda chunk: os.write(fd, chunk[0]), views, width, 1)
-    if done < len(views) * width:
+    """Write `views`, each `width` bytes, in order to the raw file `fd`, one
+    os.writev per IOV_MAX views.  Partial writes are finished."""
+    if _vectored(lambda chunk: os.writev(fd, chunk), views, width) < len(views) * width:
         raise OSError(errno.EIO, f"a write to fd {fd} wrote nothing")
 
 
@@ -309,7 +292,7 @@ def shard_file(
         status = os.fstat(src.fileno())
         if stat.S_ISREG(status.st_mode):
             per_batch = min(per_batch, max(1, -(-status.st_size // stripe_bytes)))
-        cells, lanes, source = _batch_buffer(params, per_batch, lane_width, range(k + 2))
+        array, lanes, source = _batch_buffer(params, per_batch, lane_width, range(k + 2))
         stale = []  # a directory this creates holds no file the input could be
         try:
             stale = _stale_shards(prefix, k)
@@ -341,7 +324,10 @@ def shard_file(
                 for view in source[full:filled]:
                     view[offset:] = zero[offset:]
                     offset = 0
-            encode(_batch_array(params, lane_width, stripes, cells))
+            if stripes < per_batch:  # the last batch, short
+                width = stripes * lane_width
+                array = CodeArray(params, width, [cell[:width] for cell in array.cells])
+            encode(array)
             for c, fd in enumerate(fds):
                 _write_all(fd, lanes[c][: stripes * rows], lane_width)
             if got < len(source) * lane_width:
@@ -365,7 +351,7 @@ def _too_many_missing(message: str, rejected: list[str]) -> TooManyMissing:
 
 def _open_nonblocking(path, flags: int) -> int:
     """`open` opener that does not wait for a FIFO's writer."""
-    return os.open(path, flags | getattr(os, "O_NONBLOCK", 0))
+    return os.open(path, flags | os.O_NONBLOCK)
 
 
 def _open_shards(directory: str | os.PathLike, stack: ExitStack):
@@ -442,15 +428,16 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
 
     Missing or corrupt shards (up to two) are treated as column erasures.
     The file is rebuilt one batch of stripes at a time into a temporary
-    file beside `output_path`, or beside the regular file a link there
-    names, renamed into place after the last batch; on failure the
-    temporary file is removed.  An output that is not a regular file, such
-    as a FIFO or /dev/null, is written directly: opening a FIFO waits for a
-    reader, and a failed read cannot take back what it wrote into a pipe.
-    Before any shard is read, an output that is a directory raises
-    IsADirectoryError naming it, one whose directory does not exist
-    FileNotFoundError naming it, and one that `os.stat` fails on for any
-    other reason, such as a name too long, that error.  An output that is
+    file beside `output_path`, or beside the file a link there names,
+    even a dangling link, which stays a link; it is renamed into place
+    after the last batch, and on failure removed.  An output that is not a
+    regular file, such as a FIFO or /dev/null, is written directly: opening
+    a FIFO waits for a reader, and a failed read cannot take back what it
+    wrote into a pipe.  Before any shard is read, an output that is a
+    directory raises IsADirectoryError naming it, one whose directory, or
+    that of the file its dangling link names, does not exist
+    FileNotFoundError naming that file, and one that `os.stat` fails on for
+    any other reason, such as a name too long, that error.  An output that is
     a shard the read uses raises ShardInUse before anything is written.
     Returns the number of bytes written."""
     output = real = os.fspath(output_path)
@@ -458,14 +445,13 @@ def reconstruct(directory: str | os.PathLike, output_path: str | os.PathLike) ->
         status = os.stat(output)
     except FileNotFoundError:
         status = None
-        head, name = os.path.split(output)
-        if not name or not os.path.isdir(head or os.curdir):
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), output) from None
-    else:
-        if stat.S_ISDIR(status.st_mode):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
-        if stat.S_ISREG(status.st_mode) and os.path.islink(output):
-            real = os.path.realpath(output)  # the file is replaced, not the link
+    if status is not None and stat.S_ISDIR(status.st_mode):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), output)
+    if (status is None or stat.S_ISREG(status.st_mode)) and os.path.islink(output):
+        real = os.path.realpath(output)  # the file it names is written; the link stays
+    head, name = os.path.split(real)
+    if status is None and (not name or not os.path.isdir(head or os.curdir)):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), real)
     with ExitStack() as stack:
         ref, params, shards, statuses = _open_shards(directory, stack)
         if status is not None:
@@ -519,7 +505,7 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: str, status) 
     if degraded:
         pattern = ErasurePattern(frozenset(missing))
         read += sorted(recovery_program(params, missing).columns - set(range(k)))
-        cells, columns, out_views = _batch_buffer(params, per_batch, lane_width, read)
+        array, columns, out_views = _batch_buffer(params, per_batch, lane_width, read)
         out_width = lane_width
     else:
         (buf,) = _cell_buffer(1, k * rows * per_batch * lane_width, lane_width)
@@ -536,7 +522,10 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: str, status) 
                 for c in read:
                     _read_into(shards[c], columns[c][: stripes * rows], lane_width)
                 if degraded:
-                    decode(_batch_array(params, lane_width, stripes, cells), pattern)
+                    if stripes < per_batch:  # the last batch, short
+                        width = stripes * lane_width
+                        array = CodeArray(params, width, [cell[:width] for cell in array.cells])
+                    decode(array, pattern)
                 size = min(left, stripes * rows * k * lane_width)
                 full, rest = divmod(size, out_width)
                 _write_all(out.fileno(), out_views[:full], out_width)

@@ -12,8 +12,9 @@ from eoflex.oracle import tau1_equivalence_check
 def evenodd_encode(grid, p, k):
     """Encode a (p-1) x k grid of 1-byte cells as classic EVENODD; return
     the (p-1) x (k+2) grid of lanes."""
-    cells = [[bytearray([v]) for v in row] + [bytearray(1), bytearray(1)] for row in grid]
-    return encode(CodeArray(evenodd_params(p, k), 1, cells)).cells
+    cells = [bytearray([v]) for row in grid for v in (*row, 0, 0)]
+    arr = encode(CodeArray(evenodd_params(p, k), 1, cells))
+    return [[arr.get(i, j) for j in range(k + 2)] for i in range(p - 1)]
 
 
 class TestClassicEncoder:

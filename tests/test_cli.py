@@ -71,6 +71,22 @@ class TestVerify:
         assert "columns 2+4: FAIL (chain decoder stalls on a full-rank pair)\n" in out
         assert "19/21 column pairs OK" in out
 
+    @pytest.mark.parametrize("triple, ranked", [((2, 5, 3), []), ((2, 7, 4), [(0, 3)])],
+                             ids=["2,5,3", "2,7,4"])
+    def test_rank_runs_only_where_compiling_stalls(self, capsys, monkeypatch, triple, ranked):
+        from eoflex import oracle
+
+        calls = []
+        real = oracle.erasure_solver
+
+        def counting(params, pair):
+            calls.append(tuple(pair))
+            return real(params, pair)
+
+        monkeypatch.setattr(oracle, "erasure_solver", counting)
+        run(capsys, "verify", *(f"--{n}={v}" for n, v in zip(("tau", "p", "k"), triple)))
+        assert calls == ranked
+
     def test_random_trial_options_are_gone(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--tau", "2", "--p", "5", "--k", "3", "--trials", "10"])
@@ -233,8 +249,8 @@ class TestEncodeDecode:
         assert run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
                    "--lane-width", "16", str(narrow), str(shards))[0] == 0
         out_file = tmp_path / "o.bin"
-        code, _, err = run(capsys, "decode", str(shards), str(out_file))
-        assert (code, err) == (0, "")
+        code, out, err = run(capsys, "decode", str(shards), str(out_file))
+        assert (code, out, err) == (0, "", f"reconstructed 3000 bytes to {out_file}\n")
         assert out_file.read_bytes() == narrow.read_bytes()
         assert not shard_path(shards, 5).exists()
 
@@ -256,7 +272,6 @@ class TestEncodeDecode:
         assert repr(str(out_file)) in err and ".tmp" not in err
         assert not list(tmp_path.rglob("*.tmp"))
 
-    @pytest.mark.skipif(not hasattr(os, "writev"), reason="needs os.writev")
     @pytest.mark.parametrize("lost", [(), (0, 2)], ids=["healthy", "degraded"])
     def test_output_write_that_writes_nothing(self, capsys, tmp_path, rng, monkeypatch,
                                               lost):
@@ -645,9 +660,24 @@ def test_encode_and_decode_load_no_report_code(tmp_path):
     """
     result = subprocess.run([sys.executable, "-c", script, src, shards, out], env=child_env(),
                             capture_output=True, text=True, timeout=60)
-    assert (result.returncode, result.stderr) == (0, "")
+    assert (result.returncode, result.stderr) == (0, f"reconstructed 29952 bytes to {out}\n")
     assert result.stdout.splitlines()[-1] == "[]"
     assert out.read_bytes() == src.read_bytes()
+
+
+@pytest.mark.parametrize("lost", [(), (0, 2)], ids=["healthy", "degraded"])
+def test_decode_to_stdout_carries_the_data_alone(tmp_path, rng, lost):
+    # The status line goes to stderr, so a decode into /dev/stdout, a pipe
+    # here, hands its reader the file and nothing more.
+    src, shards = tmp_path / "in.bin", tmp_path / "shards"
+    src.write_bytes(rng.randbytes(3000))
+    assert main(["encode", "--tau", "2", "--p", "5", "--k", "3", str(src), str(shards)]) == 0
+    for c in lost:
+        shard_path(shards, c).unlink()
+    result = subprocess.run([sys.executable, "-m", "eoflex.cli", "decode", shards, "/dev/stdout"],
+                            env=child_env(), capture_output=True, timeout=60)
+    assert (result.returncode, result.stderr) == (0, b"reconstructed 3000 bytes to /dev/stdout\n")
+    assert result.stdout == src.read_bytes()
 
 
 def test_metrics_loads_neither_oracle_nor_baseline():

@@ -23,28 +23,35 @@ def test_lane_width_enforced():
         arr.set(0, 0, b"\x01")
 
 
-def grid(rows=PRM.rows, columns=PRM.k + 2, width=4):
-    return [[bytearray(width) for _ in range(columns)] for _ in range(rows)]
+def flat(rows=PRM.rows, columns=PRM.k + 2, width=4):
+    """A flat list of the cells of a rows x columns grid."""
+    return [bytearray(width) for _ in range(rows * columns)]
 
 
 @pytest.mark.parametrize("lane_width, cells, match", [
     (0, None, "lane width must be >= 1"),
-    (4, grid(rows=PRM.rows - 1), "row count"),
-    (4, grid(columns=PRM.k + 1), "column count"),
-    (4, grid(width=3), "lane width mismatch"),
+    (4, flat(rows=PRM.rows - 1), f"{(PRM.rows - 1) * (PRM.k + 2)} cells given"),
+    (4, flat(columns=PRM.k + 1), f"{PRM.rows * (PRM.k + 1)} cells given"),
+    (4, flat(width=3), "lane width mismatch"),
 ], ids=["lane width 0", "rows-1 rows", "k+1 columns", "narrow lanes"])
 def test_given_cells_are_validated(lane_width, cells, match):
     with pytest.raises(ValueError, match=match):
         CodeArray(PRM, lane_width, cells)
 
 
-def test_unchecked_cells_are_taken_as_they_are():
-    # check=False skips the cell checks for a caller that carved the cells
-    # itself; the lane width is still checked.
-    cells = grid(width=3)
-    assert CodeArray(PRM, 4, cells, check=False).cells is cells
-    with pytest.raises(ValueError, match="lane width must be >= 1"):
-        CodeArray(PRM, 0, cells, check=False)
+def test_cells_are_flat_row_major(rng):
+    # Cell (i, j) is cells[i*(k+2) + j]; given cells are taken as they are.
+    n = PRM.k + 2
+    cells = [bytearray(rng.randbytes(4)) for _ in range(PRM.rows * n)]
+    arr = CodeArray(PRM, 4, cells)
+    assert arr.cells is cells
+    for i in range(PRM.rows):
+        for j in range(n):
+            assert arr.get(i, j) is cells[i * n + j]
+    for j in range(n):
+        assert arr.column(j) == [cells[i * n + j] for i in range(PRM.rows)]
+    arr.set(2, 1, b"\x01\x02\x03\x04")
+    assert cells[2 * n + 1] == b"\x01\x02\x03\x04"
 
 
 @pytest.mark.parametrize("lanes", [
@@ -62,11 +69,11 @@ def test_set_column_checks_its_lanes_first(rng, lanes):
 
 def test_copy_gives_independent_cells(rng):
     arr = encode(CodeArray.random(PRM, 4, rng))
-    want = [[bytes(lane) for lane in row] for row in arr.cells]
+    want = [bytes(lane) for lane in arr.cells]
     got = arr.copy()
-    got.cells[0][1][0] ^= 1
+    got.get(0, 1)[0] ^= 1
     decode(got, ErasurePattern.of(0, 3))  # writes columns 0 and 3 of the copy
-    assert [[bytes(lane) for lane in row] for row in arr.cells] == want
+    assert [bytes(lane) for lane in arr.cells] == want
 
 
 def test_erasure_pattern_validation():

@@ -111,14 +111,7 @@ class TestEncode:
             prm = validate_params(*triple)
             a = encode(CodeArray.random(prm, 2, rng))
             b = encode(CodeArray.random(prm, 2, rng))
-            summed = CodeArray(
-                prm,
-                2,
-                [
-                    [xor_lanes(a.get(i, c), b.get(i, c)) for c in range(prm.k + 2)]
-                    for i in range(prm.rows)
-                ],
-            )
+            summed = CodeArray(prm, 2, [xor_lanes(x, y) for x, y in zip(a.cells, b.cells)])
             assert encode(summed.copy()) == summed
 
     def test_rows_at_or_above_threshold_carry_no_common_bit(self):

@@ -42,10 +42,11 @@ def counted(arr, columns):
     """Make the cells of `columns` count their conversions; returns the
     Counter keyed by (row, column)."""
     conversions = Counter()
-    for i, row in enumerate(arr.cells):
+    n = arr.params.k + 2
+    for i in range(arr.params.rows):
         for j in columns:
-            row[j] = CountedLane(row[j])
-            row[j].conversions, row[j].cell = conversions, (i, j)
+            lane = arr.cells[i * n + j] = CountedLane(arr.get(i, j))
+            lane.conversions, lane.cell = conversions, (i, j)
     return conversions
 
 

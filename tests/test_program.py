@@ -166,18 +166,18 @@ def test_outputs_land_in_the_arrays_own_cells():
     rng = random.Random(7)
     arr = CodeArray.random(PRM, 4, rng)
     want = encode(arr.copy())
-    cells = [row[:] for row in arr.cells]
+    cells = arr.cells[:]
 
     def same_cells():
-        return all(a is b for got, had in zip(arr.cells, cells) for a, b in zip(got, had))
+        return all(a is b for a, b in zip(arr.cells, cells))
 
     encode(arr)
     assert same_cells() and arr == want
     k = PRM.k
     for cols in [(c,) for c in range(k + 2)] + list(itertools.combinations(range(k + 2), 2)):
         for c in cols:  # erased cells are never read
-            for row in arr.cells:
-                row[c][:] = rng.randbytes(4)
+            for lane in arr.column(c):
+                lane[:] = rng.randbytes(4)
         decode(arr, ErasurePattern.of(*cols))
         assert same_cells(), cols
         assert arr == want, cols
@@ -192,10 +192,8 @@ def test_wide_decode_matches_per_stripe_and_oracle(triple):
     rows, k = prm.rows, prm.k
     rng = random.Random(sum(triple))
     stripes = [encode(CodeArray.random(prm, 1, rng)) for _ in range(3)]
-    wide = CodeArray(prm, len(stripes), [
-        [b"".join(st.get(i, c) for st in stripes) for c in range(k + 2)]
-        for i in range(rows)
-    ])
+    wide = CodeArray(prm, len(stripes),
+                     [b"".join(lanes) for lanes in zip(*(st.cells for st in stripes))])
     patterns = [(c,) for c in range(k + 2)] + list(itertools.combinations(range(k + 2), 2))
     for cols in patterns:
         got = wide.copy()
@@ -207,7 +205,7 @@ def test_wide_decode_matches_per_stripe_and_oracle(triple):
         for s, stripe in enumerate(stripes):
             alone = stripe.copy()
             decode(alone, ErasurePattern.of(*cols))
-            assert alone.cells == [[lane[s : s + 1] for lane in row] for row in got.cells]
+            assert alone.cells == [lane[s : s + 1] for lane in got.cells]
             for plane in range(8):
                 packed = 0
                 for idx, pos in enumerate(solver.surviving):

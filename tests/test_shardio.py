@@ -276,17 +276,31 @@ def test_batch_edges_roundtrip_all_pairs(tmp_path, stripes):
     roundtrip_every_loss(tmp_path, src, shards)
 
 
-@pytest.mark.parametrize("readv", [True, False], ids=["readv", "readinto"])
+def trickled(move, most):
+    """`move`, os.readv or os.writev, cut to at most `most` bytes per call."""
+
+    def trickle(fd, buffers):
+        views, left = [], most
+        for buffer in buffers:
+            views.append(memoryview(buffer)[:left])
+            if not (left := left - len(views[-1])):
+                break
+        return move(fd, views)
+
+    return trickle
+
+
+@pytest.mark.parametrize("short", [False, True], ids=["readv", "short-readv"])
 @pytest.mark.parametrize("lane_width", [1, 3, 8])
-def test_narrow_lanes_roundtrip_every_loss(tmp_path, monkeypatch, lane_width, readv):
+def test_narrow_lanes_roundtrip_every_loss(tmp_path, monkeypatch, lane_width, short):
     # One column's lanes in a batch outnumber IOV_MAX, and the last of the
-    # three batches is short.  Without os.readv, os.writev goes too, so
-    # both directions move one view per call.
+    # three batches is short.  With `short`, every os.readv and os.writev
+    # stops after 1001 bytes, inside a lane where lanes are 3 or 8 wide.
     per_batch = shardio._stripes_per_batch(PRM, lane_width)
     assert per_batch * PRM.rows > shardio.IOV_MAX
-    if not readv:
-        monkeypatch.delattr(os, "readv", raising=False)
-        monkeypatch.delattr(os, "writev", raising=False)
+    if short:
+        monkeypatch.setattr(os, "readv", trickled(os.readv, 1001))
+        monkeypatch.setattr(os, "writev", trickled(os.writev, 1001))
     size = (5 * per_batch // 2) * PRM.k * PRM.rows * lane_width - 7
     src, shards = encoded(tmp_path, random.Random(lane_width), size, lane_width=lane_width)
     roundtrip_every_loss(tmp_path, src, shards)
@@ -298,7 +312,6 @@ def test_files_within_one_stripe_roundtrip_every_loss(tmp_path, size):
     roundtrip_every_loss(tmp_path, src, shards)
 
 
-@pytest.mark.skipif(not hasattr(os, "readv"), reason="needs os.readv")
 def test_short_readv_is_finished(tmp_path, rng, monkeypatch):
     real_readv = os.readv
 
@@ -312,30 +325,17 @@ def test_short_readv_is_finished(tmp_path, rng, monkeypatch):
 
 
 
-@pytest.mark.skipif(not hasattr(os, "writev"), reason="needs os.writev")
 def test_short_writev_is_finished(tmp_path, rng, monkeypatch):
     # Shards, and reads whose output is written from lanes when a column
     # is lost, come out the same through calls that stop inside a lane.
     src, plain = encoded(tmp_path, rng, PER_BATCH * STRIPE + 5000, lane_width=LANE)
-    real_writev = os.writev
-
-    def trickle(fd, buffers):
-        """At most 1000 bytes per call."""
-        views, left = [], 1000
-        for buffer in buffers:
-            views.append(memoryview(buffer)[:left])
-            if not (left := left - len(views[-1])):
-                break
-        return real_writev(fd, views)
-
-    monkeypatch.setattr(os, "writev", trickle)
+    monkeypatch.setattr(os, "writev", trickled(os.writev, 1000))
     shards = tmp_path / "trickled"
     shard_file(src, PRM, shards, lane_width=LANE)
     assert shard_bytes(shards) == shard_bytes(plain)
     roundtrip_every_loss(tmp_path, src, shards)
 
 
-@pytest.mark.skipif(not hasattr(os, "writev"), reason="needs os.writev")
 def test_writev_that_writes_nothing_raises_eio(tmp_path, monkeypatch):
     monkeypatch.setattr(os, "writev", lambda fd, buffers: 0)
     with open(tmp_path / "f", "wb", buffering=0) as fh, pytest.raises(OSError) as info:
@@ -383,6 +383,35 @@ def test_degraded_read_views_only_the_columns_it_uses(tmp_path, rng, monkeypatch
     reconstruct(shards, tmp_path / "out.bin")
     assert sha(tmp_path / "out.bin") == sha(src)
     assert len(cells) == PRM.rows * len(viewed)
+
+
+def test_each_batch_runs_on_the_buffers_own_cells(tmp_path, monkeypatch):
+    # A write and a two-information read of a three-batch file call encode
+    # and decode once per batch, on an array at the batch's width whose
+    # cells all view one buffer, the same for every batch: nothing is
+    # copied, and only the short last batch is cut to its 3 stripes.
+    arrays = {"encode": [], "decode": []}
+
+    def wrap(name):
+        real = getattr(shardio, name)
+
+        def wrapped(array, *args, **kwargs):
+            arrays[name].append((array.lane_width, {id(cell.obj) for cell in array.cells}))
+            return real(array, *args, **kwargs)
+
+        monkeypatch.setattr(shardio, name, wrapped)
+
+    wrap("encode")
+    wrap("decode")
+    src, shards = encoded(tmp_path, random.Random(26), (2 * PER_BATCH + 3) * STRIPE - 100,
+                          lane_width=LANE)
+    for c in (0, 2):
+        shard_path(shards, c).unlink()
+    reconstruct(shards, tmp_path / "out.bin")
+    assert sha(tmp_path / "out.bin") == sha(src)
+    for name, calls in arrays.items():
+        assert [width for width, _ in calls] == [PER_BATCH * LANE] * 2 + [3 * LANE], name
+        assert len(set().union(*(buffers for _, buffers in calls))) == 1, name
 
 
 def test_write_builds_its_lanes_once(tmp_path, monkeypatch):
@@ -632,6 +661,30 @@ class TestOutputPath:
         assert os.readlink(link) == os.path.join("data", "out.bin")
         assert sha(target) == sha(src)
         assert os.listdir(tmp_path / "data") == ["out.bin"]
+
+    @pytest.mark.parametrize("lost", [(), (0, 2)], ids=["healthy", "degraded"])
+    def test_dangling_link_stays_a_link(self, tmp_path, rng, lost):
+        # The file the link names is created, by way of a temporary file
+        # beside it, and the link is kept.
+        src, shards = encoded(tmp_path, rng, 3000)
+        for c in lost:
+            shard_path(shards, c).unlink()
+        (tmp_path / "data").mkdir()
+        link = tmp_path / "link"
+        link.symlink_to(os.path.join("data", "out.bin"))
+        assert reconstruct(shards, link) == 3000
+        assert os.readlink(link) == os.path.join("data", "out.bin")
+        assert sha(tmp_path / "data" / "out.bin") == sha(src)
+        assert os.listdir(tmp_path / "data") == ["out.bin"]
+
+    def test_dangling_link_into_a_missing_directory(self, tmp_path, rng):
+        _, shards = encoded(tmp_path, rng, 1000)
+        link = tmp_path / "link"
+        link.symlink_to(os.path.join("nodir", "out.bin"))
+        with pytest.raises(FileNotFoundError) as info:
+            reconstruct(shards, link)
+        assert info.value.filename == os.path.realpath(tmp_path / "nodir" / "out.bin")
+        assert link.is_symlink() and not (tmp_path / "nodir").exists()
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
     def test_descriptor_link_to_a_file(self, tmp_path, rng):
@@ -976,21 +1029,9 @@ def test_pipe_input_gives_the_same_shards(tmp_path, rng):
     assert shard_bytes(tmp_path / "piped") == shard_bytes(tmp_path / "plain")
 
 
-@pytest.mark.skipif(not hasattr(os, "readv"), reason="needs os.readv")
 def test_short_reads_give_the_same_shards(tmp_path, rng, monkeypatch):
     src, plain = encoded(tmp_path, rng, 2 * PER_BATCH * STRIPE + 5000, lane_width=LANE)
-    real_readv = os.readv
-
-    def trickle(fd, buffers):
-        """At most 1000 bytes per call."""
-        views, left = [], 1000
-        for buffer in buffers:
-            views.append(memoryview(buffer)[:left])
-            if not (left := left - len(views[-1])):
-                break
-        return real_readv(fd, views)
-
-    monkeypatch.setattr(os, "readv", trickle)
+    monkeypatch.setattr(os, "readv", trickled(os.readv, 1000))
     shard_file(src, PRM, tmp_path / "trickled", lane_width=LANE)
     assert shard_bytes(tmp_path / "trickled") == shard_bytes(plain)
 
