@@ -37,7 +37,7 @@ from pathlib import Path
 
 from . import shardio
 from .decoder import recovery_program
-from .errors import ChainStall, CodeError, ParameterError, ParamsFileError
+from .errors import ChainStall, CodeError, ParamsFileError
 from .params import validate_params
 
 DEFAULT_BENCH_SETS = [
@@ -62,8 +62,8 @@ def _encode_arguments(parser) -> None:
 
 def _cmd_encode(args) -> int:
     params = validate_params(args.tau, args.p, args.k)
-    paths = shardio.shard_file(args.input, params, args.output_dir, args.lane_width)
-    print(f"wrote {len(paths)} shards to {args.output_dir}")
+    shardio.shard_file(args.input, params, args.output_dir, args.lane_width)
+    print(f"wrote {params.k + 2} shards to {args.output_dir}")
     return 0
 
 
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, CodeError, OSError) as exc:
+    except (CodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -114,20 +114,17 @@ def encode(array: CodeArray, *, columns=None) -> CodeArray:
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def update_positions(params: CodeParams) -> MappingProxyType:
     """The parity cells each information cell (i, j) feeds, read off the
-    compiled encoder: run once with input n holding the bitmask 1 << n,
-    each output holds the mask of the input cells its equation combines.
-    Positions come column k first, then column k+1, row by row."""
-    program = encoding_program(params, (params.k, params.k + 1))
-    regs = [0] * program.registers
-    for n, r in enumerate(program.inputs[::3]):
-        regs[r] = 1 << n
-    program.execute(regs)
-    values = program.cell_values(regs)
-    outputs = [(cell, mask) for cell, mask in values.items() if cell[1] >= params.k]
+    compiled encoder: evaluated with input cell c holding the bitmask
+    1 << c, each output holds the mask of the input cells its equation
+    combines.  Positions come column k first, then column k+1, row by
+    row."""
+    n = params.k + 2
+    values = encoding_program(params, (params.k, params.k + 1)).evaluate(lambda c: 1 << c)
+    outputs = [(divmod(c, n), mask) for c, mask in values.items() if c % n >= params.k]
     return MappingProxyType({
-        cell: tuple(position for position, mask in outputs if mask & bit)
-        for cell, bit in values.items()
-        if cell[1] < params.k
+        divmod(c, n): tuple(position for position, mask in outputs if mask >> c & 1)
+        for c in values
+        if c % n < params.k
     })
 
 

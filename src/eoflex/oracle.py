@@ -175,24 +175,22 @@ def encode_bits(params: CodeParams, info_bits: list[int]) -> list[int]:
 def check_program(params: CodeParams, program: Program) -> list[str]:
     """Prove a compiled program against the generator matrix.
 
-    A program is GF(2)-linear, so running it once with each input register
-    holding the generator row of its cell (a mask over the information
-    bits) gives each output as the mask of the information bits it
-    combines.  Each output must equal the generator row of its cell.
-    Returns one line per fault; an empty list means the program is exact
-    on every codeword.
+    A program is GF(2)-linear, so evaluating it once with each input cell
+    holding its generator row (a mask over the information bits) gives
+    each output as the mask of the information bits it combines.  Each
+    output must equal the generator row of its cell.  Returns one line per
+    fault; an empty list means the program is exact on every codeword.
     """
     g = generator_matrix(params)
-    rows = params.rows
-    regs = [0] * program.registers
-    it = iter(program.inputs)
-    for r, i, j in zip(it, it, it):
-        regs[r] = g.bits[j * rows + i]
-    program.execute(regs)
+    n, rows = params.k + 2, params.rows
+
+    def row_of(c: int) -> int:  # the generator row of flat cell c
+        return g.bits[c % n * rows + c // n]
+
     return [
-        f"cell ({i},{c})"
-        for (i, c), mask in program.cell_values(regs).items()
-        if mask != g.bits[c * rows + i]
+        f"cell ({c // n},{c % n})"
+        for c, mask in program.evaluate(row_of).items()
+        if mask != row_of(c)
     ]
 
 

@@ -15,14 +15,16 @@ consistency check the rules ask for is settled at compile time: its two
 sides must combine the same cells, which makes them equal on any input, or
 compiling raises ChainStall.  A program compares nothing when it runs.
 
-A program's outputs carry their cells, as its inputs do.  Running a
-program converts each input cell to an int once, XORs ints in a flat loop
-and converts only the output cells back to bytes, which `store` writes
-into the cells the array holds.  One program restores every lost column
-of a pattern, so no int is handed from one program to another.  A lane
-may be any width, so one run can cover many stripes whose cells are
-concatenated lane by lane.  The code is cut into stages where the rules
-asked for it, so a caller can run (and time) each stage on its own.
+A program addresses the array's flat cell list: each input and output is
+a (register, cell) pair, cell (i, j) at i*(k+2) + j, so running it never
+reads the parameters.  It converts each input cell to an int once, XORs
+ints in a flat loop and converts only the output cells back to bytes,
+which `store` writes into the cells the array holds.  One program
+restores every lost column of a pattern.  A lane may be any width, so one
+run can cover many stripes whose cells are concatenated lane by lane.
+`evaluate` runs the code on ints chosen per cell, such as bitmasks.  The
+code is cut into stages where the rules asked for it, so a caller can run
+(and time) each stage on its own.
 """
 
 from __future__ import annotations
@@ -39,13 +41,15 @@ CACHE_SIZE = 256  # compiled programs kept per cache
 class Program:
     """A compiled XOR schedule.
 
-    Register 0 holds zero.  `inputs` is a flat tuple of (register, row,
-    column) triples, each loading the array's flat cell row*(k+2) +
-    column, and `code` a flat tuple of (dst, a, b) triples, each meaning
+    Register 0 holds zero.  `inputs` is a flat tuple of (register, cell)
+    pairs, each loading the array's flat cell `cell`, row*(k+2) + column,
+    and `code` a flat tuple of (dst, a, b) triples, each meaning
     reg[dst] = reg[a] ^ reg[b]; stage s is code[stages[s-1]:stages[s]]
-    (from 0 for s = 0).  `outputs` holds (register, row, column) triples
-    too, each storing a register into a cell.  `xors` pairs each phase
-    with the XORs the rules spent in it, one per instruction.
+    (from 0 for s = 0).  `outputs` holds (register, cell) pairs too, each
+    storing a register into a cell.  `xors` pairs each phase with the XORs
+    the rules spent in it, one per instruction.  `load`, `execute` and
+    `store` run the program on an array's cells; `evaluate` runs it on
+    ints.
     """
 
     name: str
@@ -57,31 +61,28 @@ class Program:
     xors: tuple[tuple[str, int], ...]
 
     @property
-    def columns(self) -> frozenset[int]:
-        """Array columns the program reads."""
-        return frozenset(self.inputs[2::3])
-
-    @property
     def xor_count(self) -> int:
         return sum(n for _, n in self.xors)
 
     def load(self, array) -> list[int]:
         """Registers with the input cells of `array` loaded as ints."""
-        cells, n = array.cells, array.params.k + 2
+        cells = array.cells
         regs = [0] * self.registers
         it = iter(self.inputs)
-        for r, i, j in zip(it, it, it):
-            regs[r] = int.from_bytes(cells[i * n + j], "little")
+        for r, c in zip(it, it):
+            regs[r] = int.from_bytes(cells[c], "little")
         return regs
 
-    def cell_values(self, regs: list[int]) -> dict[tuple[int, int], int]:
-        """The cells held in executed `regs`, keyed by (row, column): every
-        input cell, then every output cell."""
-        values = {}
-        for triples in (self.inputs, self.outputs):
-            it = iter(triples)
-            values.update(((i, j), regs[r]) for r, i, j in zip(it, it, it))
-        return values
+    def evaluate(self, value_of) -> dict[int, int]:
+        """Run the program with each input cell c holding the int
+        `value_of(c)`, and return every input cell, then every output
+        cell, keyed by its flat address."""
+        regs = [0] * self.registers
+        for r, c in zip(self.inputs[::2], self.inputs[1::2]):
+            regs[r] = value_of(c)
+        self.execute(regs)
+        return {c: regs[r] for pairs in (self.inputs, self.outputs)
+                for r, c in zip(pairs[::2], pairs[1::2])}
 
     def execute(self, regs: list[int], stage: int | None = None) -> None:
         """Run one stage of the code on `regs`, or all of it."""
@@ -95,20 +96,21 @@ class Program:
     def store(self, regs: list[int], array) -> None:
         """Write each output into its cell of `array`: it overwrites the
         bytes of the cell the array holds, which must be writable."""
-        cells, n, width = array.cells, array.params.k + 2, array.lane_width
+        cells, width = array.cells, array.lane_width
         it = iter(self.outputs)
-        for r, i, j in zip(it, it, it):
-            cells[i * n + j][:] = regs[r].to_bytes(width, "little")
+        for r, c in zip(it, it):
+            cells[c][:] = regs[r].to_bytes(width, "little")
 
 
 class Builder:
     """Records the XORs rule code performs on symbolic cells.
 
     `get(i, j)` returns the value id of array cell (i, j), reading it as a
-    program input the first time; cells of `erased` columns must be `set`
-    by the rules before they are read, or `get` raises ValueError.  `xor`
-    emits one instruction, counts it against the current `phase` (None
-    counts nothing) and returns the id of the result.  Rules build their sums with `xor_values` and
+    program input, at its flat address i*(k+2) + j, the first time; cells
+    of `erased` columns must be `set` by the rules before they are read,
+    or `get` raises ValueError.  `xor` emits one instruction, counts it
+    against the current `phase` (None counts nothing) and returns the id
+    of the result.  Rules build their sums with `xor_values` and
     `xor_cells`, which start from None, the empty sum, so a sum of n terms
     emits n-1 XORs.  `check` settles a consistency check at compile time.
     `end_stage` cuts the code recorded so far off as a stage.
@@ -118,8 +120,9 @@ class Builder:
         self.params = params
         self.erased = frozenset(erased)
         self.phase: str | None = None
-        self._cells: dict[tuple[int, int], int] = {}
-        self._inputs: dict[int, tuple[int, int]] = {}
+        self._width = params.k + 2
+        self._cells: dict[int, int] = {}  # flat address -> value id
+        self._inputs: dict[int, int] = {}  # value id -> flat address
         self._code: list[tuple[int, int, int]] = []
         self._stages: list[int] = []
         self._counts: dict[str, int] = {}
@@ -132,16 +135,17 @@ class Builder:
         return len(self._mask) - 1
 
     def get(self, i: int, j: int) -> int:
-        value = self._cells.get((i, j))
+        cell = i * self._width + j
+        value = self._cells.get(cell)
         if value is None:
             if j in self.erased:
                 raise ValueError(f"cell ({i},{j}) is erased and not yet recovered")
-            value = self._cells[(i, j)] = self._new(1 << len(self._inputs))
-            self._inputs[value] = (i, j)
+            value = self._cells[cell] = self._new(1 << len(self._inputs))
+            self._inputs[value] = cell
         return value
 
     def set(self, i: int, j: int, value: int) -> None:
-        self._cells[(i, j)] = value
+        self._cells[i * self._width + j] = value
 
     def xor(self, a: int, b: int) -> int:
         value = self._new(self._mask[a] ^ self._mask[b])
@@ -184,10 +188,10 @@ class Builder:
         `outputs`, ((row, column), value id) pairs, into its cell."""
         return Program(
             name=name,
-            inputs=tuple(x for v, cell in self._inputs.items() for x in (v, *cell)),
+            inputs=tuple(x for pair in self._inputs.items() for x in pair),
             code=tuple(x for triple in self._code for x in triple),
             stages=tuple(3 * n for n in self._stages) + (3 * len(self._code),),
-            outputs=tuple(x for (i, j), v in outputs for x in (v, i, j)),
+            outputs=tuple(x for (i, j), v in outputs for x in (v, i * self._width + j)),
             registers=len(self._mask),
             xors=tuple(sorted(self._counts.items())),
         )

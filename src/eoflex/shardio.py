@@ -174,14 +174,13 @@ def _stripes_per_batch(params: CodeParams, lane_width: int) -> int:
 
 
 def _lanes(cells, lane_width: int) -> list[memoryview]:
-    """Views of the lanes of `cells`, buffers of equal length, stripe by
+    """Views of the lanes of `cells`, memoryviews of equal length, stripe by
     stripe: lane 0 of every cell in turn, then lane 1, and so on (views of
     one lane are their own).  Read or written in this order, the views put
     a shard's or the source's bytes into the cells, or take them out."""
-    views = cells if isinstance(cells[0], memoryview) else [memoryview(c) for c in cells]
-    if len(views[0]) == lane_width:
-        return list(views)
-    return [v[n : n + lane_width] for n in range(0, len(views[0]), lane_width) for v in views]
+    if len(cells[0]) == lane_width:
+        return list(cells)
+    return [v[n : n + lane_width] for n in range(0, len(cells[0]), lane_width) for v in cells]
 
 
 def _cell_buffer(cells: int, width: int, lane_width: int) -> list[memoryview]:
@@ -257,7 +256,7 @@ def shard_file(
     params: CodeParams,
     output_dir: str | os.PathLike,
     lane_width: int = DEFAULT_SHARD_LANE_WIDTH,
-) -> list[Path]:
+) -> None:
     """Encode a file into k+2 shard files named shard_<col>.eof, reading
     and encoding it one batch of stripes at a time until its end.  The
     input may be a pipe, and is opened before the output directory is
@@ -276,8 +275,9 @@ def shard_file(
     k+2 and above are removed.  Parameters whose decoder cannot recover
     the loss of some column pair are refused with UndecodablePairs before
     anything is opened.  An input that is one of the shard files the write
-    would overwrite or remove raises ShardInUse before any file is written
-    or removed."""
+    would overwrite or remove raises ShardInUse, and an output directory
+    that is a file NotADirectoryError, before any file is written or
+    removed."""
     if not 1 <= lane_width <= MAX_LANE_WIDTH:
         raise LaneWidthOutOfRange(f"lane width must be in [1, {MAX_LANE_WIDTH}], got {lane_width}")
     if bad := undecodable_pairs(params):
@@ -296,7 +296,7 @@ def shard_file(
         stale = []  # a directory this creates holds no file the input could be
         try:
             stale = _stale_shards(prefix, k)
-        except (FileNotFoundError, NotADirectoryError):
+        except FileNotFoundError:
             os.makedirs(outdir, exist_ok=True)
         longest = 0  # bytes in the longest shard there is
         for path in paths + stale:
@@ -339,7 +339,6 @@ def shard_file(
                 os.ftruncate(fd, end)
             os.pwrite(fd, _pack_header(VERSION, params.tau, params.p, k, c, lane_width,
                                        stripe_count, length), 0)
-    return [Path(outdir, f"shard_{c}.eof") for c in range(k + 2)]
 
 
 def _too_many_missing(message: str, rejected: list[str]) -> TooManyMissing:
@@ -504,7 +503,8 @@ def _restore(ref: ShardHeader, params: CodeParams, shards, output: str, status) 
     # columns[c] holds column c's lanes in shard order; out_views of out_width bytes the output.
     if degraded:
         pattern = ErasurePattern(frozenset(missing))
-        read += sorted(recovery_program(params, missing).columns - set(range(k)))
+        inputs = recovery_program(params, missing).inputs[1::2]  # its flat cells
+        read += sorted({c % (k + 2) for c in inputs} - {*range(k)})
         array, columns, out_views = _batch_buffer(params, per_batch, lane_width, read)
         out_width = lane_width
     else:

@@ -2,6 +2,8 @@ import argparse
 import dataclasses
 import hashlib
 import os
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from eoflex import cli
 from eoflex.cli import DEFAULT_BENCH_SETS, build_parser, main
 from eoflex.metrics import complexity_report
 from eoflex.params import validate_params
-from eoflex.shardio import HEADER_SIZE, ShardHeader, shard_path
+from eoflex.shardio import HEADER_SIZE, ShardHeader, shard_file, shard_path
 
 try:
     import resource
@@ -174,6 +176,20 @@ class TestEncodeDecode:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_encode_into_a_regular_file(self, capsys, tmp_path, rng):
+        # The output directory names an existing file: the listing's
+        # NotADirectoryError is the diagnostic, and nothing is created.
+        src, target = tmp_path / "file.bin", tmp_path / "X"
+        src.write_bytes(rng.randbytes(1000))
+        target.write_bytes(b"not a directory")
+        before = sorted(os.listdir(tmp_path))
+        code, out, err = run(capsys, "encode", "--tau", "2", "--p", "5", "--k", "3",
+                             str(src), str(target))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: [Errno 20] Not a directory") and err.count("\n") == 1
+        assert target.read_bytes() == b"not a directory"
+        assert sorted(os.listdir(tmp_path)) == before
 
     @pytest.mark.parametrize("kind", ["missing", "regular file"])
     def test_shard_dir_that_is_no_directory(self, capsys, tmp_path, kind):
@@ -392,6 +408,108 @@ class TestIntegrityHoles:
         shard_path(shards, 1).write_bytes(header.pack() + blob[HEADER_SIZE:])
         shard_path(shards, 0).unlink()
         self.assert_exact_or_refused(capsys, tmp_path, src, shards)
+
+
+# (tau, p, k) and lane width of each set the mutation test encodes.
+MUTATED_SETS = [((2, 5, 3), 64), ((1, 11, 7), 16), ((3, 9, 3), 8), ((1, 5, 3), 1)]
+# Kinds of seeded damage; "flip" and "relabel" are integrity holes of v1.
+MUTATIONS = ["remove", "header", "resize", "rename", "flip", "relabel"]
+HEADER_FIELDS = [field.name for field in dataclasses.fields(ShardHeader)]
+
+
+def _mutation_cases():
+    """Three seeded cases of each kind on each set."""
+    for triple, lane in MUTATED_SETS:
+        for kind in MUTATIONS:
+            marks = [INTEGRITY_HOLE] if kind in ("flip", "relabel") else []
+            for n in range(3):
+                name = "-".join(map(str, triple))
+                yield pytest.param(triple, lane, kind, n, marks=marks,
+                                   id=f"{name}-lw{lane}-{kind}{n}")
+
+
+@pytest.fixture(scope="class")
+def encoded_sets(tmp_path_factory):
+    """Each of MUTATED_SETS encoded once from a seeded file of two stripes
+    and a part: (triple, lane width) -> (params, source path, shard dir)."""
+    root = tmp_path_factory.mktemp("mutated")
+    sets = {}
+    for triple, lane in MUTATED_SETS:
+        prm = validate_params(*triple)
+        stripe = prm.k * prm.rows * lane
+        name = f"{'-'.join(map(str, triple))}-lw{lane}"
+        src = root / f"{name}.bin"
+        src.write_bytes(random.Random(name).randbytes(2 * stripe + stripe // 3 + 1))
+        shard_file(src, prm, root / name, lane_width=lane)
+        sets[triple, lane] = prm, src, root / name
+    return sets
+
+
+def rewrite_header(path, **changes):
+    """Give the shard at `path` its header with `changes`, under a valid CRC."""
+    blob = path.read_bytes()
+    header = dataclasses.replace(ShardHeader.unpack(blob), **changes)
+    path.write_bytes(header.pack() + blob[HEADER_SIZE:])
+
+
+class TestMutatedShardSets:
+    """Seeded damage to small shard sets.  Each case must decode to the
+    input byte for byte, or exit 2 with one `error:` line; a traceback or
+    wrong bytes under exit 0 fail it.  Payload flips and headers relabelled
+    as a lost column decode to wrong bytes in v1: strict xfails."""
+
+    @staticmethod
+    def mutate(shards, prm, lane, length, kind, rng):
+        """Apply one seeded mutation of `kind` to the set in `shards`."""
+        k, rows = prm.k, prm.rows
+        columns = list(range(k + 2))
+        if kind == "remove":
+            for c in rng.sample(columns, rng.randint(1, 2)):
+                shard_path(shards, c).unlink()
+        elif kind == "header":  # one field of one shard
+            name = rng.choice(HEADER_FIELDS)
+            path = shard_path(shards, rng.choice(columns))
+            value = getattr(ShardHeader.unpack(path.read_bytes()), name) + rng.randint(1, 3)
+            rewrite_header(path, **{name: value})
+        elif kind == "resize":  # cut or extend one shard, perhaps with another lost
+            c, other = rng.sample(columns, 2)
+            with open(shard_path(shards, c), "r+b") as fh:
+                size = fh.seek(0, os.SEEK_END)
+                if rng.random() < 0.5:
+                    fh.truncate(rng.randrange(size))
+                else:
+                    fh.write(rng.randbytes(rng.randint(1, 2 * lane)))
+            if rng.random() < 0.5:
+                shard_path(shards, other).unlink()
+        elif kind == "rename":  # swap two names, or copy a shard to a free name
+            a, b = rng.sample(columns, 2)
+            if rng.random() < 0.5:
+                shard_path(shards, a).rename(shards / "swap")
+                shard_path(shards, b).rename(shard_path(shards, a))
+                (shards / "swap").rename(shard_path(shards, b))
+            else:
+                shutil.copyfile(shard_path(shards, a), shard_path(shards, k + 2 + b))
+        elif kind == "flip":  # one bit of a source byte, in its information shard
+            stripe, rest = divmod(rng.randrange(length), k * rows * lane)
+            (i, j), byte = divmod(rest // lane, k), rest % lane
+            blob = bytearray(shard_path(shards, j).read_bytes())
+            blob[HEADER_SIZE + (stripe * rows + i) * lane + byte] ^= 1 << rng.randrange(8)
+            shard_path(shards, j).write_bytes(blob)
+        else:  # "relabel": another shard's header names a lost information column
+            a = rng.randrange(k)
+            b = rng.choice([c for c in columns if c != a])
+            shard_path(shards, a).unlink()
+            rewrite_header(shard_path(shards, b), column_index=a)
+
+    @pytest.mark.parametrize("triple, lane, kind, n", _mutation_cases())
+    def test_decode_is_exact_or_refused(self, capsys, tmp_path, encoded_sets,
+                                        triple, lane, kind, n):
+        prm, src, encoded = encoded_sets[triple, lane]
+        shards = tmp_path / "shards"
+        shutil.copytree(encoded, shards)
+        rng = random.Random(f"{triple}-{lane}-{kind}-{n}")
+        self.mutate(shards, prm, lane, src.stat().st_size, kind, rng)
+        TestIntegrityHoles.assert_exact_or_refused(capsys, tmp_path, src, shards)
 
 
 def add_parser_calls(monkeypatch):

@@ -19,7 +19,7 @@ PRM = validate_params(2, 5, 3)
 
 # SHA-256 of the repr of every program `every_program` yields for the
 # ACCEPTANCE_SETS, in order.
-PROGRAMS_SHA256 = "ab267009f6f5101bad906c2d373f7c1c38cb17bad46ba705b329079b422168d8"
+PROGRAMS_SHA256 = "26902129598cd06672d2ceb6fa226adf6d0fbcc2eb3b37459f5fa813412e9e0c"
 
 
 def lanes_of(*values):
@@ -47,10 +47,10 @@ class TestBuilder:
         for j in (1, 2):
             acc = b.xor(acc, b.get(0, j))
         program = b.finish([((0, 3), acc)], "t")
-        assert program.inputs == (1, 0, 0, 2, 0, 1, 4, 0, 2)
+        assert program.inputs == (1, 0, 2, 1, 4, 2)  # (register, flat cell) pairs
         assert program.code == (3, 1, 2, 5, 3, 4)
-        assert program.outputs == (5, 0, 3)
-        assert program.columns == {0, 1, 2}
+        assert program.outputs == (5, 3)
+        assert program.evaluate(lambda c: 1 << c) == {0: 1, 1: 2, 2: 4, 3: 7}
         arr = lanes_of(b"\x01", b"\x02", b"\x04")
         regs = program.load(arr)
         program.execute(regs)
@@ -152,8 +152,10 @@ class TestProof:
 
     def test_output_stored_in_the_wrong_column_is_flagged(self):
         program = encoding_program(PRM, (PRM.k, PRM.k + 1))
+        n = PRM.k + 2
         outputs = list(program.outputs)
-        outputs[2::3] = [2 * PRM.k + 1 - c for c in outputs[2::3]]  # k and k+1 swapped
+        # columns k and k+1 swapped
+        outputs[1::2] = [c + 1 if c % n == PRM.k else c - 1 for c in outputs[1::2]]
         mutant = dataclasses.replace(program, outputs=tuple(outputs))
         assert check_program(PRM, program) == []
         assert len(check_program(PRM, mutant)) == 2 * PRM.rows

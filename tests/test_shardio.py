@@ -124,7 +124,7 @@ def test_deinterleave_inverts_interleave(n, lane_width, rounds):
     # lanes in turn into the n cells, and read in order they give the
     # source back.
     source = random.Random(n * lane_width + rounds).randbytes(n * rounds * lane_width)
-    cells = [bytearray(rounds * lane_width) for _ in range(n)]
+    cells = [memoryview(bytearray(rounds * lane_width)) for _ in range(n)]
     views = shardio._lanes(cells, lane_width)
     assert [len(view) for view in views] == [lane_width] * (n * rounds)
     for m, view in enumerate(views):
@@ -148,10 +148,10 @@ class TestRoundTrip:
     def test_empty_file(self, tmp_path):
         src = tmp_path / "empty.bin"
         src.write_bytes(b"")
-        paths = shard_file(src, PRM, tmp_path / "shards", lane_width=4)
-        assert len(paths) == 5
-        for path in paths:
-            assert path.stat().st_size == HEADER_SIZE
+        assert shard_file(src, PRM, tmp_path / "shards", lane_width=4) is None
+        assert sorted(os.listdir(tmp_path / "shards")) == [f"shard_{c}.eof" for c in range(5)]
+        for c in range(5):
+            assert shard_path(tmp_path / "shards", c).stat().st_size == HEADER_SIZE
         out = tmp_path / "out.bin"
         assert reconstruct(tmp_path / "shards", out) == 0
         assert out.read_bytes() == b""

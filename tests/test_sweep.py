@@ -46,7 +46,7 @@ DEFICIENT = {
 # SHA-256 of the repr of the recovery program of every one- and two-column
 # loss of every set of SWEEP, in order, skipping the losses that raise
 # ChainStall.
-SWEEP_PROGRAMS_SHA256 = "4368de19f9da9b1677ad1f161beed4f90e13c788c5d524da05904a0484cf3a6b"
+SWEEP_PROGRAMS_SHA256 = "ce1d28b9a396a7775a930747c4e5f36c9647a26d97122002c3aca890f06981d8"
 
 
 def test_sweep_has_72_sets():
